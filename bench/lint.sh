@@ -102,6 +102,31 @@ if [ -n "$router_hits" ]; then
     status=1
 fi
 
+# Summary discipline: every served summary is a pure function of
+# (accumulated weights, seeds), so Merge, Snapshot and the WAL checkpoint
+# round-trip it exactly. A stream sampler with private randomness (the
+# VarOpt reservoir) breaks that law and no query reads it; it lives in
+# lib/sampling for the paper experiments, never in the serving plane.
+varopt_hits=$(grep -rn 'Varopt' "$root/lib/server" 2>/dev/null)
+if [ -n "$varopt_hits" ]; then
+    echo "lint: Sampling.Varopt is banned under lib/server — served summaries are pure functions of (weights, seeds):" >&2
+    echo "$varopt_hits" >&2
+    status=1
+fi
+
+# Codec discipline: the summary payload, the snapshot and the WAL share
+# one token-parser set (Protocol.int_tok / float_tok / pos_float_tok).
+# A private number parser in one of them would let the three grammars
+# drift apart again.
+tok_hits=$(grep -nE 'float_of_string_opt|int_of_string_opt' \
+    "$root/lib/server/merge.ml" "$root/lib/server/snapshot.ml" \
+    "$root/lib/server/wal.ml" 2>/dev/null)
+if [ -n "$tok_hits" ]; then
+    echo "lint: private number parsers are banned in merge.ml/snapshot.ml/wal.ml — use the Protocol token parsers:" >&2
+    echo "$tok_hits" >&2
+    status=1
+fi
+
 # Hot-path discipline: the per-key evaluator modules must stay off the
 # polymorphic runtime. `Stdlib.compare`/bare `compare` walks tags and
 # boxes floats; `Hashtbl.hash` hashes structure (and is why derivation

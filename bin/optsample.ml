@@ -578,7 +578,7 @@ let serve_cmd =
              (required by the jaccard/l1/union/intersection queries).")
   in
   let tau = Arg.(value & opt float 100. & info [ "tau" ] ~doc:"Default PPS threshold.") in
-  let k = Arg.(value & opt int 64 & info [ "k" ] ~doc:"Default bottom-k / VarOpt size.") in
+  let k = Arg.(value & opt int 64 & info [ "k" ] ~doc:"Default bottom-k size.") in
   let p = Arg.(value & opt float 0.05 & info [ "p" ] ~doc:"Default binary sampling probability.") in
   let flush_every =
     Arg.(value & opt int 8192 & info [ "flush-every" ] ~doc:"Auto-flush threshold (pending records).")
@@ -671,6 +671,11 @@ let serve_cmd =
         max_inflight;
       }
     in
+    (match Server.Store.check_defaults cfg with
+    | Ok () -> ()
+    | Error m ->
+        Format.eprintf "%s@." m;
+        exit 1);
     if wal <> None && snapshot <> None then begin
       Format.eprintf
         "--wal and --snapshot are exclusive: the WAL directory holds its \
@@ -926,7 +931,7 @@ let route_cmd =
           ~doc:"Coordinated sampling mode; must match every backend.")
   in
   let tau = Arg.(value & opt float 100. & info [ "tau" ] ~doc:"Default PPS threshold for CREATE without one.") in
-  let k = Arg.(value & opt int 64 & info [ "k" ] ~doc:"Default bottom-k / VarOpt size.") in
+  let k = Arg.(value & opt int 64 & info [ "k" ] ~doc:"Default bottom-k size.") in
   let p = Arg.(value & opt float 0.05 & info [ "p" ] ~doc:"Default binary sampling probability.") in
   let retries =
     Arg.(
@@ -1009,6 +1014,11 @@ let route_cmd =
         max_inflight = 65536;
       }
     in
+    (match Server.Store.check_defaults cfg with
+    | Ok () -> ()
+    | Error m ->
+        Format.eprintf "%s@." m;
+        exit 1);
     let retry =
       {
         Server.Client.default_retry with

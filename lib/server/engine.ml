@@ -90,10 +90,6 @@ let eval_or_flat flat seeds ~ids:(id1, id2) ~p1 ~p2 ~s1 ~s2 =
 
 let select_all _ = true
 
-let mode_name = function
-  | Sampling.Seeds.Shared -> "shared"
-  | Sampling.Seeds.Independent -> "independent"
-
 let pps_samples_of st insts =
   {
     Aggregates.Sum_agg.seeds = Store.seeds st;
@@ -311,8 +307,7 @@ let instance_stats inst =
            ( "bk_size",
              P.jint
                (List.length (Store.bottom_k inst).Sampling.Bottom_k.entries) );
-           ("binary_size", P.jint (List.length (Store.binary_sample inst)));
-           ("varopt_size", P.jint (List.length (Store.varopt_entries inst))) ])
+           ("binary_size", P.jint (List.length (Store.binary_sample inst))) ])
   ^ "}"
 
 let shard_stats_json st =
@@ -451,15 +446,15 @@ let handle_request t req =
           ( P.ok_lines
               [ ("name", P.jstr name); ("id", P.jint (Store.id inst));
                 ("master", P.jint cfg.Store.master);
-                ("mode", P.jstr (mode_name cfg.Store.mode)) ]
+                ("mode", P.jstr (Snapshot.mode_name cfg.Store.mode)) ]
               lines,
             Continue ))
   | P.Sync -> (
       Store.flush st;
       (* Checkpoint-then-ship: with a WAL attached the shipped snapshot
-         is exactly the new checkpoint's content (same Snapshot.to_string
-         of the same flushed store), so a follower holding the payload
-         holds the checkpoint. *)
+         is exactly the new checkpoint's content (same Snapshot lines of
+         the same flushed store), so a follower holding the payload holds
+         the checkpoint. *)
       let extra =
         match t.t_wal with
         | None -> Ok []
@@ -472,19 +467,12 @@ let handle_request t req =
       | Error m -> (P.error ~kind:"wal" m, Continue)
       | Ok extra ->
           let cfg = Store.config st in
-          let lines =
-            match
-              List.rev (String.split_on_char '\n' (Snapshot.to_string st))
-            with
-            | "" :: rev -> List.rev rev
-            | rev -> List.rev rev
-          in
           ( P.ok_lines
               (("instances", P.jint (List.length (Store.instances st)))
                :: ("master", P.jint cfg.Store.master)
-               :: ("mode", P.jstr (mode_name cfg.Store.mode))
+               :: ("mode", P.jstr (Snapshot.mode_name cfg.Store.mode))
                :: extra)
-              lines,
+              (Snapshot.store_lines st),
             Continue ))
   | P.Stats -> (run_stats st, Continue)
   | P.Flush -> (

@@ -40,10 +40,6 @@
 
 type t
 
-val mode_name : Sampling.Seeds.mode -> string
-(** ["shared"] / ["independent"] — the wire spelling used by PULL / SYNC
-    headers and the snapshot format. *)
-
 val eval_or_table :
   (bool array * bool array) Estcore.Designer.estimator ->
   Sampling.Seeds.t ->
@@ -99,11 +95,12 @@ val handle_request : t -> Protocol.request -> string * action
 (** Execute one request; returns the response and what the session
     should do next ([Close] after QUIT, [Stop] after SHUTDOWN). Most
     responses are one JSON line; [PULL] answers {!Protocol.ok_lines}
-    with the instance's {!Merge.payload}, and [SYNC] answers the full
-    snapshot text the same way (taking a {!Wal.checkpoint} first when a
-    WAL is attached — the response carries the new [epoch], and the
-    shipped payload {e is} the checkpoint's content, which is how a
-    follower receives checkpoints for failover). *)
+    with the instance's {!Merge.payload}, and [SYNC] answers the whole
+    store's {!Snapshot.store_lines} the same way (taking a
+    {!Wal.checkpoint} first when a WAL is attached — the response
+    carries the new [epoch], and the shipped payload {e is} the
+    checkpoint's content, which is how a follower receives checkpoints
+    for failover). *)
 
 val handle_line : t -> string -> string * action
 (** {!Protocol.parse} + {!handle_request}; malformed requests produce an

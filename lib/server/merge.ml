@@ -29,10 +29,9 @@
    Hence merge(ingest A, ingest B) ≡ ingest(A ∪ B) whenever the per-key
    weight sums are themselves exact — trivially so when the key sets are
    disjoint, which is precisely what the router's hash placement
-   guarantees (each key owned by one daemon). The VarOpt reservoir is
-   not merged at summary level; Store.install_summary rebuilds it
-   canonically from the merged weights (the snapshot-restore law), and
-   no query kind reads it. *)
+   guarantees (each key owned by one daemon). A summary is the whole
+   state of an instance, so nothing is rebuilt on install: the payload
+   below is also the section format of Snapshot. *)
 
 module Seeds = Sampling.Seeds
 
@@ -191,33 +190,18 @@ let payload (s : Store.summary) =
 
 let ( let* ) = Result.bind
 
-let p_int what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bad %s %S (expected an integer)" what s)
-
-let p_float what s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v -> Ok v
-  | Some v -> Error (Printf.sprintf "%s %g is not finite" what v)
-  | None -> Error (Printf.sprintf "bad %s %S (expected a hex float)" what s)
-
-let p_pos_float what s =
-  let* v = p_float what s in
-  if v > 0. then Ok v else Error (Printf.sprintf "%s %g must be > 0" what v)
-
 let parse_header line =
   match String.split_on_char ' ' line with
   | [ "summary"; name; id; tau; k; p; records; volume ] ->
       if not (Protocol.valid_name name) then
         Error (Printf.sprintf "invalid instance name %S" name)
       else
-        let* id = p_int "instance id" id in
-        let* tau = p_pos_float "tau" tau in
-        let* k = p_int "k" k in
-        let* p = p_pos_float "p" p in
-        let* records = p_int "records" records in
-        let* volume = p_float "volume" volume in
+        let* id = Protocol.int_tok "instance id" id in
+        let* tau = Protocol.pos_float_tok "tau" tau in
+        let* k = Protocol.int_tok "k" k in
+        let* p = Protocol.pos_float_tok "p" p in
+        let* records = Protocol.int_tok "records" records in
+        let* volume = Protocol.float_tok "volume" volume in
         if id < 0 then Error (Printf.sprintf "negative instance id %d" id)
         else if k <= 0 then Error (Printf.sprintf "k %d must be > 0" k)
         else if p > 1. then Error (Printf.sprintf "p %g out of (0,1]" p)
@@ -245,15 +229,19 @@ let parse_header line =
             got %S"
            line)
 
-(* Strict section parser: sections must arrive in w, s, b, r order, each
-   ascending (the byte-stability contract doubles as a corruption
-   check), every sampled key must be a weighted key, and the working set
-   must fit k+1. *)
-let of_lines lines =
+(* Strict section parser over [lines], the first of which is line
+   [line] of its input: sections must arrive in w, s, b, r order, each
+   ascending (the byte-stability contract doubles as a corruption check,
+   and rejects duplicate keys), every sampled key must be a weighted
+   key, and the working set must fit k+1. Stops after 'end', returning
+   the summary, the number of the next line and the unread lines; a
+   failure carries the number of the offending line. *)
+let section ~line lines =
+  let at n r = Result.map_error (fun m -> (n, m)) r in
   match lines with
-  | [] -> Error "empty summary payload"
+  | [] -> Error (line, "empty summary payload")
   | header :: rest ->
-      let* base = parse_header header in
+      let* base = at line (parse_header header) in
       let k = base.Store.s_cfg.Store.k in
       let wtbl = Hashtbl.create 256 in
       let sampled what key =
@@ -262,81 +250,97 @@ let of_lines lines =
       in
       (* [sec] orders sections; [last] enforces ascending order inside
          one section. *)
-      let rec go sec last acc_w acc_s acc_b acc_r = function
-        | [] -> Error "truncated summary payload (missing 'end')"
-        | "end" :: [] ->
-            let bk = List.rev acc_r in
-            if List.length bk > k + 1 then
-              Error
-                (Printf.sprintf "bottom-k working set larger than k+1 = %d"
-                   (k + 1))
-            else
-              Ok
-                {
-                  base with
-                  Store.s_weights = List.rev acc_w;
-                  s_pps = List.rev acc_s;
-                  s_binary = List.rev acc_b;
-                  s_bk = bk;
-                }
-        | "end" :: _ -> Error "trailing garbage after 'end'"
-        | line :: rest -> (
-            (* Compare against the previous key only when it belongs to
-               the {e same} section as this line ([mysec]); the first
-               line of a new section starts a fresh ascending chain. *)
-            let ascending what mysec order key =
-              match last with
-              | Some (s, prev) when s = mysec && order key prev <= 0 ->
-                  Error (Printf.sprintf "%s keys out of order at %d" what key)
+      let sec = ref 0 and last = ref None in
+      let acc_w = ref [] and acc_s = ref [] and acc_b = ref []
+      and acc_r = ref [] in
+      (* Compare against the previous key only when it belongs to the
+         {e same} section as this line ([mysec]); the first line of a new
+         section starts a fresh ascending chain. *)
+      let ascending what mysec key =
+        match !last with
+        | Some (s, prev) when s = mysec && key <= prev ->
+            Error (Printf.sprintf "%s keys out of order at %d" what key)
+        | _ -> Ok ()
+      in
+      let enter mysec key =
+        sec := mysec;
+        last := Some (mysec, key)
+      in
+      let entry l =
+        match String.split_on_char ' ' l with
+        | [ "w"; key; v ] when !sec <= 0 ->
+            let* key = Protocol.int_tok "weight key" key in
+            let* v = Protocol.pos_float_tok "weight" v in
+            let* () = ascending "weight" 0 key in
+            Hashtbl.replace wtbl key v;
+            acc_w := (key, v) :: !acc_w;
+            Ok (enter 0 key)
+        | [ "s"; key; v ] when !sec <= 1 ->
+            let* key = Protocol.int_tok "pps key" key in
+            let* v = Protocol.pos_float_tok "pps value" v in
+            let* () = ascending "pps" 1 key in
+            let* () = sampled "pps" key in
+            acc_s := (key, v) :: !acc_s;
+            Ok (enter 1 key)
+        | [ "b"; key ] when !sec <= 2 ->
+            let* key = Protocol.int_tok "binary key" key in
+            let* () = ascending "binary" 2 key in
+            let* () = sampled "binary" key in
+            acc_b := key :: !acc_b;
+            Ok (enter 2 key)
+        | [ "r"; key; rank ] when !sec <= 3 ->
+            let* key = Protocol.int_tok "bottom-k key" key in
+            let* rank = Protocol.float_tok "rank" rank in
+            (* (rank, key) pairs ascend: compare with the previous pair. *)
+            let* () =
+              match !acc_r with
+              | prev :: _ when rank_compare (rank, key) prev <= 0 ->
+                  Error (Printf.sprintf "bottom-k pairs out of order at %d" key)
               | _ -> Ok ()
             in
-            match String.split_on_char ' ' line with
-            | [ "w"; key; v ] when sec <= 0 ->
-                let* key = p_int "weight key" key in
-                let* v = p_pos_float "weight" v in
-                let* () = ascending "weight" 0 Int.compare key in
-                Hashtbl.replace wtbl key v;
-                go 0
-                  (Some (0, key))
-                  ((key, v) :: acc_w) acc_s acc_b acc_r rest
-            | [ "s"; key; v ] when sec <= 1 ->
-                let* key = p_int "pps key" key in
-                let* v = p_pos_float "pps value" v in
-                let* () = ascending "pps" 1 Int.compare key in
-                let* () = sampled "pps" key in
-                go 1
-                  (Some (1, key))
-                  acc_w ((key, v) :: acc_s) acc_b acc_r rest
-            | [ "b"; key ] when sec <= 2 ->
-                let* key = p_int "binary key" key in
-                let* () = ascending "binary" 2 Int.compare key in
-                let* () = sampled "binary" key in
-                go 2 (Some (2, key)) acc_w acc_s (key :: acc_b) acc_r rest
-            | [ "r"; key; rank ] when sec <= 3 ->
-                let* key = p_int "bottom-k key" key in
-                let* rank = p_float "rank" rank in
-                (* (rank, key) pairs ascend; encode the pair order on the
-                   key axis via the accumulated list head instead. *)
-                let* () =
-                  match acc_r with
-                  | (r0, k0) :: _ when rank_compare (rank, key) (r0, k0) <= 0
-                    ->
-                      Error
-                        (Printf.sprintf "bottom-k pairs out of order at %d" key)
-                  | _ -> Ok ()
-                in
-                let* () = sampled "bottom-k" key in
-                go 3 (Some (3, key)) acc_w acc_s acc_b ((rank, key) :: acc_r)
-                  rest
-            | _ ->
-                Error
-                  (Printf.sprintf
-                     "bad summary line %S (expected 'w <key> <weight>', 's \
-                      <key> <value>', 'b <key>', 'r <key> <rank>' or 'end', \
-                      sections in that order)"
-                     line))
+            let* () = sampled "bottom-k" key in
+            acc_r := (rank, key) :: !acc_r;
+            Ok (enter 3 key)
+        | _ ->
+            Error
+              (Printf.sprintf
+                 "bad summary line %S (expected 'w <key> <weight>', 's <key> \
+                  <value>', 'b <key>', 'r <key> <rank>' or 'end', sections \
+                  in that order)"
+                 l)
       in
-      go 0 None [] [] [] [] rest
+      let rec go n = function
+        | [] -> Error (n, "truncated summary payload (missing 'end')")
+        | "end" :: rest ->
+            let bk = List.rev !acc_r in
+            if List.length bk > k + 1 then
+              Error
+                ( n,
+                  Printf.sprintf "bottom-k working set larger than k+1 = %d"
+                    (k + 1) )
+            else
+              Ok
+                ( {
+                    base with
+                    Store.s_weights = List.rev !acc_w;
+                    s_pps = List.rev !acc_s;
+                    s_binary = List.rev !acc_b;
+                    s_bk = bk;
+                  },
+                  n + 1,
+                  rest )
+        | l :: rest ->
+            let* () = at n (entry l) in
+            go (n + 1) rest
+      in
+      go (line + 1) rest
+
+let of_lines lines =
+  match section ~line:1 lines with
+  | Ok (s, _, []) -> Ok s
+  | Ok (_, n, _ :: _) ->
+      Error (Printf.sprintf "line %d: trailing garbage after 'end'" n)
+  | Error (n, m) -> Error (Printf.sprintf "line %d: %s" n m)
 
 (* Build a queryable store from merged summaries: instances are
    installed under their recorded ids (seed derivations match the

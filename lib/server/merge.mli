@@ -16,10 +16,11 @@
       every overlap key (ranks recomputed from merged weights where the
       weight changed), truncated to the [k+1] smallest [(rank, key)]
       pairs. Ranks are monotone nonincreasing in the weight, so this
-      candidate set provably contains the true working set of the union;
-    - {b VarOpt} — rebuilt canonically from the merged weights at
-      {!Store.install_summary} time (the snapshot-restore law; no query
-      kind reads the reservoir).
+      candidate set provably contains the true working set of the union.
+
+    A summary is the whole state of an instance, so
+    {!Store.install_summary} installs a merged summary as is — nothing is
+    rebuilt.
 
     Laws, tested in [test/test_merge.ml]: [merge] is commutative,
     associative up to bit-identity, has the empty summary as identity,
@@ -46,7 +47,8 @@ val merge_all :
 (** {2 Wire payload}
 
     Line-oriented, floats as lossless [%h] hex literals, every section
-    sorted (byte-stable — the same guarantee as the snapshot format):
+    sorted (byte-stable). A {!Snapshot} is a header line followed by one
+    such section per instance:
 
     {v
     summary <name> <id> <tau> <k> <p> <records> <volume>
@@ -60,10 +62,21 @@ val merge_all :
 val payload : Store.summary -> string list
 (** Serialize; [of_lines (payload s) = Ok s]. *)
 
+val section :
+  line:int ->
+  string list ->
+  (Store.summary * int * string list, int * string) result
+(** [section ~line lines] parses the one summary section at the head of
+    [lines], whose first element is line [line] of its input, and stops
+    after its [end]: [Ok (s, next, rest)] gives the number of the first
+    unread line and the unread lines. Strict: wrong section order,
+    out-of-order or duplicate keys, non-finite numbers, sampled keys
+    without a weight entry, an oversized working set and a missing [end]
+    are all errors, each with the number of the offending line. *)
+
 val of_lines : string list -> (Store.summary, string) result
-(** Strict parse: wrong section order, out-of-order keys, non-finite
-    numbers, sampled keys without a weight entry, an oversized working
-    set and trailing garbage are all errors. *)
+(** {!section} over a whole payload (its lines numbered from 1); lines
+    after [end] are an error. The message starts with ["line <n>: "]. *)
 
 val materialize :
   ?pool:Numerics.Pool.t ->

@@ -63,20 +63,29 @@ let parse_name what s =
     err
       (Printf.sprintf "bad %s %S (expected [A-Za-z0-9_.-]+)" what s)
 
-(* Weights and thresholds arrive as decimal or hex float literals; both
-   are accepted, both must be finite. *)
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v -> Ok v
-  | Some v -> err (Printf.sprintf "%s %g is not finite" what v)
-  | None -> err (Printf.sprintf "bad %s %S (expected a float)" what s)
-
-let parse_int what s =
+(* The token parsers of every text grammar in the serving plane —
+   requests, summary payloads, snapshots, WAL ops. Numbers arrive as
+   decimal or hex literals; floats must be finite. Errors are bare
+   messages: each grammar stamps its own position. *)
+let int_tok what s =
   match int_of_string_opt s with
   | Some v -> Ok v
-  | None -> err (Printf.sprintf "bad %s %S (expected an integer)" what s)
+  | None -> Error (Printf.sprintf "bad %s %S (expected an integer)" what s)
+
+let float_tok what s =
+  match float_of_string_opt s with
+  | Some v when Float.is_finite v -> Ok v
+  | Some v -> Error (Printf.sprintf "%s %g is not finite" what v)
+  | None -> Error (Printf.sprintf "bad %s %S (expected a float)" what s)
 
 let ( let* ) = Result.bind
+
+let pos_float_tok what s =
+  let* v = float_tok what s in
+  if v > 0. then Ok v else Error (Printf.sprintf "%s %g must be > 0" what v)
+
+let lift r =
+  Result.map_error (fun message -> { Sampling.Io.line = 0; message }) r
 
 (* CREATE parameters are [key=value] tokens; unknown keys are rejected
    (a typo must not silently fall back to a default). *)
@@ -93,15 +102,14 @@ let parse_create_params tokens =
             let tau, k, p = acc in
             match key with
             | "tau" ->
-                let* v = parse_float "tau" value in
-                if v <= 0. then err (Printf.sprintf "tau %g must be > 0" v)
-                else go (Some v, k, p) rest
+                let* v = lift (pos_float_tok "tau" value) in
+                go (Some v, k, p) rest
             | "k" ->
-                let* v = parse_int "k" value in
+                let* v = lift (int_tok "k" value) in
                 if v <= 0 then err (Printf.sprintf "k %d must be > 0" v)
                 else go (tau, Some v, p) rest
             | "p" ->
-                let* v = parse_float "p" value in
+                let* v = lift (float_tok "p" value) in
                 if v <= 0. || v > 1. then
                   err (Printf.sprintf "p %g out of (0,1]" v)
                 else go (tau, k, Some v) rest
@@ -122,7 +130,7 @@ let parse line =
   | verb :: args -> (
       match (String.uppercase_ascii verb, args) with
       | "HELLO", [ v ] ->
-          let* v = parse_int "protocol version" v in
+          let* v = lift (int_tok "protocol version" v) in
           if v <> version then
             err
               (Printf.sprintf "unsupported protocol version %d (this server \
@@ -136,15 +144,13 @@ let parse line =
       | "CREATE", [] -> err "CREATE needs an instance name"
       | "INGEST", [ name; key; weight ] ->
           let* name = parse_name "instance name" name in
-          let* key = parse_int "key" key in
-          let* weight = parse_float "weight" weight in
-          if weight <= 0. then
-            err (Printf.sprintf "weight %g must be > 0" weight)
-          else Ok (Ingest { name; key; weight })
+          let* key = lift (int_tok "key" key) in
+          let* weight = lift (pos_float_tok "weight" weight) in
+          Ok (Ingest { name; key; weight })
       | "INGEST", _ -> err "INGEST takes: <instance> <key> <weight>"
       | "INGESTN", [ name; count ] ->
           let* name = parse_name "instance name" name in
-          let* count = parse_int "record count" count in
+          let* count = lift (int_tok "record count" count) in
           if count < 1 || count > max_batch then
             err
               (Printf.sprintf "record count %d out of [1,%d]" count max_batch)
@@ -215,10 +221,9 @@ let parse_batch_record ?(line = 0) s =
   in
   (match tokens with
   | [ key; weight ] ->
-      let* key = parse_int "key" key in
-      let* weight = parse_float "weight" weight in
-      if weight <= 0. then err (Printf.sprintf "weight %g must be > 0" weight)
-      else Ok (key, weight)
+      let* key = lift (int_tok "key" key) in
+      let* weight = lift (pos_float_tok "weight" weight) in
+      Ok (key, weight)
   | _ -> err "batch record takes: <key> <weight>")
   |> Result.map_error (fun e -> { e with Sampling.Io.line })
 

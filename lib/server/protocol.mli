@@ -93,6 +93,16 @@ val query_kind_name : query_kind -> string
 val valid_name : string -> bool
 (** Instance names are [[A-Za-z0-9_.-]+] — no escaping on the wire. *)
 
+val int_tok : string -> string -> (int, string) result
+val float_tok : string -> string -> (float, string) result
+val pos_float_tok : string -> string -> (float, string) result
+(** [int_tok what s], [float_tok what s], [pos_float_tok what s]: the
+    one token-parser set shared by every text grammar of the serving
+    plane (requests, {!Merge} payloads, {!Snapshot} headers, {!Wal} op
+    payloads). Decimal or hex literals; floats must be finite,
+    [pos_float_tok] values also [> 0]. The error is a bare message naming
+    [what]; each grammar stamps its own line. *)
+
 val parse : string -> (request, Sampling.Io.parse_error) result
 (** Parse one request line. The [line] field of an error is 0 (sessions
     number their own requests). *)

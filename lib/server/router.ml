@@ -8,9 +8,10 @@
    walk exactly.
 
    The router never mutates a Store itself — every backend effect
-   travels over the wire protocol (enforced by bench/lint.sh), and the
+   travels over the wire protocol (enforced by bench/lint.sh), the
    merged query stores are built by Merge.materialize from pulled
-   payloads. *)
+   payloads, and SYNC / SNAPSHOT hand the merged summaries straight to
+   the Snapshot writer. *)
 
 module P = Protocol
 
@@ -44,21 +45,21 @@ let close t =
 
    The router mirrors the instance catalog (it fans every CREATE), but a
    *restarted* router must relearn it: SYNC any backend and read the
-   instance headers out of the snapshot text. Backend 0 is as good as
+   instance names out of the parsed snapshot. Backend 0 is as good as
    any — CREATE fans to all daemons in order, so every daemon holds the
-   identical catalog. The snapshot header also carries the daemon's
-   master seed and mode, checked against ours: a router merging under
-   the wrong seed universe would answer garbage with full confidence. *)
+   identical catalog. The SYNC header also carries the daemon's master
+   seed and mode, checked against ours: a router merging under the wrong
+   seed universe would answer garbage with full confidence. *)
 
 let check_universe cfg ~master ~mode_s ~where =
   if master <> string_of_int cfg.Store.master then
     Error
       (Printf.sprintf "%s has master seed %s, router has %d" where master
          cfg.Store.master)
-  else if mode_s <> Engine.mode_name cfg.Store.mode then
+  else if mode_s <> Snapshot.mode_name cfg.Store.mode then
     Error
       (Printf.sprintf "%s samples in %s mode, router in %s" where mode_s
-         (Engine.mode_name cfg.Store.mode))
+         (Snapshot.mode_name cfg.Store.mode))
   else Ok ()
 
 let catalog_of_sync cfg (header, lines) =
@@ -72,15 +73,10 @@ let catalog_of_sync cfg (header, lines) =
           check_universe cfg ~master ~mode_s ~where:"backend 0"
       | _ -> Error (Printf.sprintf "SYNC header without master/mode: %s" header)
     in
-    let names =
-      List.filter_map
-        (fun line ->
-          match String.split_on_char ' ' line with
-          | "instance" :: name :: _ -> Some name
-          | _ -> None)
-        lines
-    in
-    Ok names
+    match Snapshot.of_lines lines with
+    | Ok (_, summaries) -> Ok (List.map (fun s -> s.Store.s_name) summaries)
+    | Error e ->
+        Error ("bad SYNC payload: " ^ Sampling.Io.parse_error_to_string e)
 
 let connect ?(retry = Client.default_retry) ~store_cfg addrs =
   match addrs with
@@ -173,15 +169,19 @@ let merged_summary t ~name =
   in
   go 0 []
 
-let merged_store t names =
+let merged_summaries t names =
   let rec each acc = function
-    | [] -> Merge.materialize ~pool:t.pool t.cfg (List.rev acc)
+    | [] -> Ok (List.rev acc)
     | name :: rest -> (
         match merged_summary t ~name with
         | Ok s -> each (s :: acc) rest
         | Error _ as e -> e)
   in
   each [] names
+
+let merged_store t names =
+  let* summaries = merged_summaries t names in
+  Merge.materialize ~pool:t.pool t.cfg summaries
 
 (* --- request handling --- *)
 
@@ -241,32 +241,25 @@ let on_request t (req : P.request) : string * Engine.action =
           ( P.ok_lines
               [ ("name", P.jstr name); ("id", P.jint s.Store.s_id);
                 ("master", P.jint t.cfg.Store.master);
-                ("mode", P.jstr (Engine.mode_name t.cfg.Store.mode)) ]
+                ("mode", P.jstr (Snapshot.mode_name t.cfg.Store.mode)) ]
               (Merge.payload s),
             Engine.Continue ))
   | P.Sync -> (
-      match merged_store t t.names with
+      match merged_summaries t t.names with
       | Error m -> (P.error m, Engine.Continue)
-      | Ok st ->
-          let lines =
-            match
-              List.rev (String.split_on_char '\n' (Snapshot.to_string st))
-            with
-            | "" :: rev -> List.rev rev
-            | rev -> List.rev rev
-          in
+      | Ok summaries ->
           ( P.ok_lines
               [ ("instances", P.jint (List.length t.names));
                 ("master", P.jint t.cfg.Store.master);
-                ("mode", P.jstr (Engine.mode_name t.cfg.Store.mode)) ]
-              lines,
+                ("mode", P.jstr (Snapshot.mode_name t.cfg.Store.mode)) ]
+              (Snapshot.lines t.cfg summaries),
             Engine.Continue ))
   | P.Snapshot path -> (
       (* Whole-cluster snapshot, written router-side. *)
-      match merged_store t t.names with
+      match merged_summaries t t.names with
       | Error m -> (P.error m, Engine.Continue)
-      | Ok st -> (
-          match Snapshot.write st ~path with
+      | Ok summaries -> (
+          match Snapshot.write_summaries t.cfg summaries ~path with
           | Ok n ->
               ( P.ok_fields
                   [ ("path", P.jstr path); ("instances", P.jint n) ],
@@ -275,7 +268,8 @@ let on_request t (req : P.request) : string * Engine.action =
   | P.Stats -> (
       (* Merged view: instance counters as a single node holding the
          union would report them; shard/pending counters describe the
-         router's local merged store (one shard, nothing pending). *)
+         router's local merged store (one shard holding every merged
+         record, nothing pending). *)
       match merged_store t t.names with
       | Error m -> (P.error m, Engine.Continue)
       | Ok st ->

@@ -1,8 +1,9 @@
-let magic = "optsample-snapshot 1"
+let magic = "optsample-snapshot 2"
 
 type parse_error = Sampling.Io.parse_error = { line : int; message : string }
 
 let err line message = Error { line; message }
+let ( let* ) = Result.bind
 
 let mode_name = function
   | Sampling.Seeds.Shared -> "shared"
@@ -13,187 +14,144 @@ let mode_of_name = function
   | "independent" -> Some Sampling.Seeds.Independent
   | _ -> None
 
-let to_string st =
+let lines (cfg : Store.config) summaries =
+  Printf.sprintf "%s %d %s %h %d %h %d %d" magic cfg.master
+    (mode_name cfg.mode) cfg.default_tau cfg.default_k cfg.default_p
+    cfg.flush_every (List.length summaries)
+  :: List.concat_map Merge.payload summaries
+
+let summaries st =
   Store.flush st;
-  let cfg = Store.config st in
-  let insts = Store.instances st in
+  List.map Store.export_summary (Store.instances st)
+
+let store_lines st = lines (Store.config st) (summaries st)
+
+let text ls =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %s %h %d %h %d %d\n" magic cfg.Store.master
-       (mode_name cfg.Store.mode) cfg.Store.default_tau cfg.Store.default_k
-       cfg.Store.default_p cfg.Store.flush_every (List.length insts));
   List.iter
-    (fun inst ->
-      let icfg = Store.instance_config inst in
-      Buffer.add_string buf
-        (Printf.sprintf "instance %s %d %h %d %h\n" (Store.name inst)
-           (Store.id inst) icfg.Store.tau icfg.Store.k icfg.Store.p);
-      Sampling.Instance.iter
-        (fun k v -> Buffer.add_string buf (Printf.sprintf "%d %h\n" k v))
-        (Store.to_instance inst);
-      Buffer.add_string buf "end\n")
-    insts;
+    (fun l ->
+      Buffer.add_string buf l;
+      Buffer.add_char buf '\n')
+    ls;
   Buffer.contents buf
 
-(* Same line discipline as Sampling.Io: number lines before filtering
-   comments/blanks, accept CRLF. *)
-let strip_cr l =
-  let n = String.length l in
-  if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+let to_string st = text (store_lines st)
 
-let lines_of_string s =
-  String.split_on_char '\n' s
-  |> List.mapi (fun i l -> (i + 1, String.trim (strip_cr l)))
-  |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
-
-let ( let* ) = Result.bind
-
-let parse_int n what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> err n (Printf.sprintf "bad %s %S (expected an integer)" what s)
-
-let parse_pos_float n what s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v && v > 0. -> Ok v
-  | Some v -> err n (Printf.sprintf "%s %g must be finite and > 0" what v)
-  | None -> err n (Printf.sprintf "bad %s %S (expected a hex float)" what s)
-
-let parse_header n header =
+let parse_header header =
+  let fail m = err 1 m in
+  let at1 r = Result.map_error (fun message -> { line = 1; message }) r in
   match String.split_on_char ' ' header with
-  | a :: b :: rest when a ^ " " ^ b = magic -> (
-      match rest with
+  | "optsample-snapshot" :: "2" :: fields -> (
+      match fields with
       | [ master; mode; tau; k; p; flush_every; count ] -> (
-          let* master = parse_int n "master seed" master in
+          let* master = at1 (Protocol.int_tok "master seed" master) in
           match mode_of_name mode with
           | None ->
-              err n
+              fail
                 (Printf.sprintf
                    "bad seed mode %S (expected shared or independent)" mode)
           | Some mode ->
-              let* default_tau = parse_pos_float n "default tau" tau in
-              let* default_k = parse_int n "default k" k in
-              let* default_p = parse_pos_float n "default p" p in
-              let* flush_every = parse_int n "flush_every" flush_every in
-              let* count = parse_int n "instance count" count in
+              let* default_tau = at1 (Protocol.float_tok "default tau" tau) in
+              let* default_k = at1 (Protocol.int_tok "default k" k) in
+              let* default_p = at1 (Protocol.float_tok "default p" p) in
+              let* flush_every =
+                at1 (Protocol.int_tok "flush_every" flush_every)
+              in
+              let* count = at1 (Protocol.int_tok "instance count" count) in
+              let cfg =
+                {
+                  Store.default_config with
+                  master;
+                  mode;
+                  default_tau;
+                  default_k;
+                  default_p;
+                  flush_every;
+                }
+              in
+              let* () = at1 (Store.check_defaults cfg) in
               if count < 0 then
-                err n (Printf.sprintf "negative instance count %d" count)
-              else
-                Ok (master, mode, default_tau, default_k, default_p,
-                    flush_every, count))
+                fail (Printf.sprintf "negative instance count %d" count)
+              else Ok (cfg, count))
       | fields ->
-          err n
+          fail
             (Printf.sprintf
                "truncated snapshot header: %d field(s) after %S, expected 7"
                (List.length fields) magic))
+  | "optsample-snapshot" :: version :: _ ->
+      fail
+        (Printf.sprintf
+           "unsupported snapshot format %S (this build reads format 2 only)"
+           version)
   | _ ->
-      err n
+      fail
         (Printf.sprintf "not an optsample snapshot (header %S, expected %S …)"
            header magic)
 
-let parse_instance_header n line =
-  match String.split_on_char ' ' line with
-  | [ "instance"; name; id; tau; k; p ] ->
-      let* id = parse_int n "instance id" id in
-      let* tau = parse_pos_float n "tau" tau in
-      let* k = parse_int n "k" k in
-      let* p = parse_pos_float n "p" p in
-      if k <= 0 then err n (Printf.sprintf "k %d must be > 0" k)
-      else if p > 1. then err n (Printf.sprintf "p %g out of (0,1]" p)
-      else Ok (name, id, tau, k, p)
-  | _ ->
-      err n
-        (Printf.sprintf
-           "expected 'instance <name> <id> <tau> <k> <p>', got %S" line)
+(* Header on line 1, then [count] sections in id order, each with the
+   line number of its header. *)
+let parse ls =
+  match ls with
+  | [] -> err 0 "empty input"
+  | header :: rest ->
+      let* cfg, count = parse_header header in
+      let rec sections i line acc = function
+        | [] when i = count -> Ok (cfg, List.rev acc)
+        | l :: _ when i = count ->
+            err line
+              (Printf.sprintf "trailing garbage after %d instance(s): %S" count
+                 l)
+        | [] ->
+            err line
+              (Printf.sprintf "truncated snapshot: %d of %d instance(s)" i
+                 count)
+        | ls -> (
+            match Merge.section ~line ls with
+            | Error (n, m) -> err n m
+            | Ok (s, next, rest) ->
+                if s.Store.s_id <> i then
+                  err line
+                    (Printf.sprintf "instance id %d out of order (expected %d)"
+                       s.Store.s_id i)
+                else sections (i + 1) next ((line, s) :: acc) rest)
+      in
+      sections 0 2 [] rest
+
+let of_lines ls =
+  let* cfg, sections = parse ls in
+  Ok (cfg, List.map snd sections)
 
 let of_string_r ?pool ?shards s =
-  match lines_of_string s with
-  | [] -> err 0 "empty input"
-  | (n, header) :: rest ->
-      let* master, mode, default_tau, default_k, default_p, flush_every, count
-          =
-        parse_header n header
-      in
-      let cfg =
-        {
-          Store.shards =
-            Option.value shards ~default:Store.default_config.Store.shards;
-          master;
-          mode;
-          default_tau;
-          default_k;
-          default_p;
-          flush_every;
-          max_inflight = Store.default_config.Store.max_inflight;
-        }
-      in
-      let st = Store.create ?pool cfg in
-      (* One instance section at a time: header, entries, 'end'. *)
-      let rec instances seen lines =
-        if seen = count then
-          match lines with
-          | [] ->
-              Store.flush st;
-              Ok st
-          | (n, l) :: _ ->
-              err n (Printf.sprintf "trailing garbage after %d instance(s): %S"
-                       count l)
-        else
-          match lines with
-          | [] ->
-              err 0
-                (Printf.sprintf "truncated snapshot: %d of %d instance(s)"
-                   seen count)
-          | (n, l) :: lines -> (
-              let* name, id, tau, k, p = parse_instance_header n l in
-              if id <> seen then
-                err n
-                  (Printf.sprintf
-                     "instance id %d out of order (expected %d)" id seen)
-              else
-                match Store.create_instance st ~name ~tau ~k ~p () with
-                | Error m -> err n m
-                | Ok _ -> entries name (Hashtbl.create 64) lines)
-      and entries name seen lines =
-        match lines with
-        | [] -> err 0 (Printf.sprintf "missing 'end' for instance %S" name)
-        | (_, "end") :: lines ->
-            instances (Store.id (Option.get (Store.find st name)) + 1) lines
-        | (n, l) :: lines -> (
-            match String.split_on_char ' ' l with
-            | [ k; v ] -> (
-                let* key = parse_int n "key" k in
-                let* weight = parse_pos_float n "weight" v in
-                match Hashtbl.find_opt seen key with
-                | Some first ->
-                    err n
-                      (Printf.sprintf
-                         "duplicate key %d (first seen on line %d)" key first)
-                | None -> (
-                    Hashtbl.add seen key n;
-                    match Store.ingest st ~name ~key ~weight with
-                    | Ok () -> entries name seen lines
-                    | Error (Store.Overloaded _) -> (
-                        (* Replay outruns the drain; shedding here would
-                           drop snapshotted records. Flush and retry. *)
-                        Store.flush st;
-                        match Store.ingest st ~name ~key ~weight with
-                        | Ok () -> entries name seen lines
-                        | Error e -> err n (Store.ingest_error_to_string e))
-                    | Error e -> err n (Store.ingest_error_to_string e)))
-            | _ -> err n "expected two fields '<int-key> <hex-float>' or 'end'")
-      in
-      instances 0 rest
+  let ls =
+    match List.rev (String.split_on_char '\n' s) with
+    | "" :: rev -> List.rev rev
+    | rev -> List.rev rev
+  in
+  let* cfg, sections = parse ls in
+  let cfg =
+    { cfg with Store.shards = Option.value shards ~default:cfg.Store.shards }
+  in
+  let st = Store.create ?pool cfg in
+  let rec install = function
+    | [] -> Ok st
+    | (n, s) :: rest -> (
+        match Store.install_summary st s with
+        | Ok _ -> install rest
+        | Error m -> err n m)
+  in
+  install sections
 
 (* All snapshot bytes go through Durable: the write is atomic (tmp +
    fsync + rename — a crash mid-write never damages the previous file)
    and the I/O fault plane applies, so the crash-recovery suite can tear
    snapshot writes too. *)
-let write st ~path =
-  let s = to_string st in
-  match Durable.write_file_atomic ~site:"snapshot.write" ~path s with
-  | Ok () -> Ok (List.length (Store.instances st))
-  | Error m -> Error m
+let write_summaries cfg summaries ~path =
+  Result.map
+    (fun () -> List.length summaries)
+    (Durable.write_file_atomic ~site:"snapshot.write" ~path
+       (text (lines cfg summaries)))
+
+let write st ~path = write_summaries (Store.config st) (summaries st) ~path
 
 let load ?pool ?shards path =
   match Durable.read_file path with

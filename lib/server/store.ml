@@ -23,6 +23,19 @@ let default_config =
     max_inflight = 65536;
   }
 
+(* The same bounds CREATE puts on its parameters: a bare CREATE must
+   never register an instance that an explicit one would refuse. *)
+let check_defaults c =
+  if not (Float.is_finite c.default_tau && c.default_tau > 0.) then
+    Error (Printf.sprintf "default tau %g must be finite and > 0" c.default_tau)
+  else if c.default_k <= 0 then
+    Error (Printf.sprintf "default k %d must be > 0" c.default_k)
+  else if not (c.default_p > 0. && c.default_p <= 1.) then
+    Error (Printf.sprintf "default p %g out of (0,1]" c.default_p)
+  else if c.flush_every <= 0 then
+    Error (Printf.sprintf "flush_every %d must be > 0" c.flush_every)
+  else Ok ()
+
 type instance_config = { tau : float; k : int; p : float }
 
 (* Bottom-k working set: the k+1 smallest current (rank, key) pairs,
@@ -47,8 +60,6 @@ type instance = {
   binary_tbl : (int, unit) Hashtbl.t;
   mutable bk_set : RankSet.t;
   bk_rank : (int, float) Hashtbl.t;  (* key -> rank, for keys in bk_set *)
-  vo : Sampling.Varopt.t;
-  vo_rng : Numerics.Prng.t;
 }
 
 type record = { r_inst : instance; r_key : int; r_weight : float }
@@ -56,7 +67,7 @@ type record = { r_inst : instance; r_key : int; r_weight : float }
 type shard = {
   mailbox : record list Atomic.t;  (* newest first; reversed on drain *)
   depth : int Atomic.t;
-  mutable applied : int;  (* mutated only by the draining task *)
+  mutable applied : int;  (* mutated by the draining task and install *)
 }
 
 type t = {
@@ -121,9 +132,6 @@ let create_instance t ~name ?tau ?k ?p () =
         binary_tbl = Hashtbl.create 256;
         bk_set = RankSet.empty;
         bk_rank = Hashtbl.create 256;
-        vo = Sampling.Varopt.create ~k:icfg.k;
-        (* Private VarOpt randomness, reproducible from (master, id). *)
-        vo_rng = Numerics.Prng.substream ~master:t.cfg.master id;
       }
     in
     Hashtbl.add t.by_name name inst;
@@ -177,8 +185,7 @@ let apply seeds inst key w =
   if v >= u *. inst.icfg.tau then Hashtbl.replace inst.pps_tbl key v;
   (* Binary support sample: decided once, on the key's first record. *)
   if v0 = 0. && u <= inst.icfg.p then Hashtbl.replace inst.binary_tbl key ();
-  bk_update seeds inst key v;
-  Sampling.Varopt.add inst.vo inst.vo_rng ~key ~weight:w
+  bk_update seeds inst key v
 
 (* --- sharded ingest --- *)
 
@@ -375,8 +382,6 @@ let bottom_k inst =
   }
 
 let binary_sample inst = sorted_keys inst.binary_tbl
-let varopt_entries inst = Sampling.Varopt.entries inst.vo
-let varopt_threshold inst = Sampling.Varopt.threshold inst.vo
 
 (* --- mergeable summary export / install (cluster mode) --- *)
 
@@ -406,14 +411,12 @@ let export_summary inst =
   }
 
 (* The summary is installed verbatim under its *recorded* id: seed
-   derivation, the VarOpt substream and the shard assignment all key off
-   [s_id], so a store materialized from a subset of another store's
-   instances answers queries with the original seeds. The VarOpt
-   reservoir is not part of the summary; it is rebuilt canonically from
-   the aggregated weights in ascending key order on the instance's
-   private substream — exactly the reservoir a [Snapshot] restore of the
-   same weights would hold (and unused by the four query kinds, which
-   read only the PPS and binary samples). *)
+   derivation and the shard assignment both key off [s_id], so a store
+   materialized from a subset of another store's instances answers
+   queries with the original seeds. The summary is the instance's whole
+   state, so the installed instance is indistinguishable from the
+   exported one — including under further ingest, and in STATS, whose
+   per-shard [applied] counter is credited with the installed records. *)
 let install_summary t s =
   if not (Protocol.valid_name s.s_name) then
     Error (Printf.sprintf "invalid instance name %S" s.s_name)
@@ -434,8 +437,6 @@ let install_summary t s =
         binary_tbl = Hashtbl.create (max 16 (List.length s.s_binary));
         bk_set = RankSet.empty;
         bk_rank = Hashtbl.create 256;
-        vo = Sampling.Varopt.create ~k:s.s_cfg.k;
-        vo_rng = Numerics.Prng.substream ~master:t.cfg.master s.s_id;
       }
     in
     List.iter (fun (k, v) -> Hashtbl.replace inst.weights k v) s.s_weights;
@@ -446,10 +447,8 @@ let install_summary t s =
         inst.bk_set <- RankSet.add (rank, key) inst.bk_set;
         Hashtbl.replace inst.bk_rank key rank)
       s.s_bk;
-    List.iter
-      (fun (key, weight) ->
-        Sampling.Varopt.add inst.vo inst.vo_rng ~key ~weight)
-      s.s_weights;
+    let sh = shard_of t inst in
+    sh.applied <- sh.applied + s.s_records;
     Hashtbl.add t.by_name s.s_name inst;
     t.rev_instances <- inst :: t.rev_instances;
     t.n_instances <- max t.n_instances (s.s_id + 1);

@@ -1,9 +1,10 @@
 (** Sharded in-memory registry of named instances with live coordinated
     summaries.
 
-    Each registered instance owns three incrementally-maintained
-    summaries of its accumulated [(key, weight)] stream — exactly the
-    Section 7.1 inventory, kept {e live} instead of rebuilt per batch:
+    Each registered instance owns incrementally-maintained summaries of
+    its accumulated [(key, weight)] stream — the samples the
+    multi-instance estimators read, kept {e live} instead of rebuilt per
+    batch:
 
     - a {b PPS Poisson} sample under a fixed threshold [tau]: key [h]
       enters the sample the moment its accumulated weight crosses
@@ -15,16 +16,18 @@
       monotone decreasing in the accumulated weight, so the running
       [(k+1)]-max never grows and eviction is exact — the final structure
       equals {!Sampling.Bottom_k.sample} of the accumulated instance;
-    - a {b VarOpt} reservoir fed record-by-record (private randomness
-      from a per-instance substream of the master seed);
+    - a {b binary support} sample ([u(h) ≤ p]) for the distinct-count
+      estimators;
 
-    plus a binary support sample ([u(h) ≤ p]) for the distinct-count
-    estimators, and the full per-key weight accumulator (needed anyway:
-    weighted ranks are functions of the {e accumulated} weight).
+    plus the full per-key weight accumulator (needed anyway: weighted
+    ranks are functions of the {e accumulated} weight) and the [records]
+    / [volume] counters.
 
     Seeds are recorded {!Sampling.Seeds} seeds — shared or independent
-    mode — so estimator-side seed recomputation works unchanged and
-    summaries are reproducible from [(master, instance id)].
+    mode — so estimator-side seed recomputation works unchanged. Every
+    summary is a pure function of (accumulated weights, seeds), so the
+    exported {!summary} is an instance's whole state: {!Merge},
+    {!Snapshot} and the WAL checkpoint all round-trip it exactly.
 
     {2 Sharding}
 
@@ -43,7 +46,7 @@ type config = {
   master : int;  (** master hash seed for {!Sampling.Seeds} *)
   mode : Sampling.Seeds.mode;
   default_tau : float;  (** PPS threshold for instances created without one *)
-  default_k : int;  (** bottom-k / VarOpt size default *)
+  default_k : int;  (** bottom-k size default *)
   default_p : float;  (** binary-sample probability default *)
   flush_every : int;  (** auto-flush when this many records are pending *)
   max_inflight : int;
@@ -54,6 +57,12 @@ type config = {
 val default_config : config
 (** [shards = 1], [master = 42], [Independent], [tau = 100.], [k = 64],
     [p = 0.05], [flush_every = 8192], [max_inflight = 65536]. *)
+
+val check_defaults : config -> (unit, string) result
+(** [Error] when a default would be refused as an explicit [CREATE]
+    parameter ([tau] finite and [> 0], [k > 0], [p ∈ (0,1]]) or when
+    [flush_every ≤ 0]. The serve/route CLIs and the {!Snapshot} header
+    parser apply it. *)
 
 type instance_config = { tau : float; k : int; p : float }
 
@@ -159,9 +168,6 @@ val binary_sample : instance -> int list
 (** Support keys with [u(h) ≤ p], ascending — equal to
     [Aggregates.Distinct.sample_binary] of the accumulated instance. *)
 
-val varopt_entries : instance -> (int * float) list
-val varopt_threshold : instance -> float
-
 (** {2 Mergeable summaries (cluster mode)}
 
     A [summary] is the complete, order-independent export of one
@@ -191,11 +197,11 @@ val export_summary : instance -> summary
 val install_summary : t -> summary -> (instance, string) result
 (** Register an instance carrying exactly the summary's state, under its
     {e recorded} id (so seed recomputation matches the exporting store —
-    the materialized store answers queries bit-identically). The VarOpt
-    reservoir is rebuilt canonically from the aggregated weights in
-    ascending key order on the instance's private substream (same
-    reservoir a {!Snapshot} restore of those weights holds; the four
-    query kinds never read it). [Error] when the name is taken or
+    the materialized store answers queries bit-identically). The
+    installed instance is indistinguishable from the exported one: every
+    summary field, [records] and [volume] included, and its shard's
+    [applied] counter is credited with [s_records], so STATS after a
+    restore reads as it did before. [Error] when the name is taken or
     invalid. *)
 
 (** {2 Shard introspection (STATS)} *)

@@ -1,12 +1,15 @@
 (* Append-only op log of mutating requests, composing with
-   Server.Snapshot: a checkpoint file is a full snapshot, the WAL holds
-   the delta since. Frames are length-prefixed and CRC-guarded so replay
-   detects torn tails (tolerated on the final segment only — that is
-   what a crash produces) and flags mid-log corruption (never silent).
+   Server.Snapshot: a checkpoint file is a full snapshot (every
+   instance's exact summary, restored bit for bit), the WAL holds the
+   delta since — so checkpoint ∘ delta recovery equals an uninterrupted
+   run on every field, STATS included. Frames are length-prefixed and
+   CRC-guarded so replay detects torn tails (tolerated on the final
+   segment only — that is what a crash produces) and flags mid-log
+   corruption (never silent).
 
    On-disk layout, all under [config.dir]:
 
-     checkpoint-<epoch>.snap    Server.Snapshot text, written atomically
+     checkpoint-<epoch>.snap    Server.Snapshot.write, atomic
      wal-<epoch>-<seq>.log      frames appended after checkpoint <epoch>
 
    [checkpoint] bumps the epoch; the previous checkpoint and its
@@ -29,12 +32,11 @@ let fsync_policy_of_string s =
       let n =
         match String.index_opt s '=' with
         | Some i when String.sub s 0 i = "interval" ->
-            int_of_string_opt
-              (String.sub s (i + 1) (String.length s - i - 1))
-        | _ -> int_of_string_opt s
+            String.sub s (i + 1) (String.length s - i - 1)
+        | _ -> s
       in
-      match n with
-      | Some n when n > 0 -> Ok (Interval n)
+      match Protocol.int_tok "interval" n with
+      | Ok n when n > 0 -> Ok (Interval n)
       | _ ->
           Error
             (Printf.sprintf
@@ -73,30 +75,18 @@ let decode_op payload =
   let tokens =
     String.split_on_char ' ' payload |> List.filter (fun t -> t <> "")
   in
-  let float_tok what s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v -> Ok v
-    | _ -> Error (Printf.sprintf "bad %s %S in op payload" what s)
-  in
-  let int_tok what s =
-    match int_of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad %s %S in op payload" what s)
-  in
   match tokens with
   | [ "C"; name; tau; k; p ] when Protocol.valid_name name ->
-      Result.bind (float_tok "tau" tau) (fun tau ->
-          Result.bind (int_tok "k" k) (fun k ->
-              Result.bind (float_tok "p" p) (fun p ->
+      Result.bind (Protocol.float_tok "tau" tau) (fun tau ->
+          Result.bind (Protocol.int_tok "k" k) (fun k ->
+              Result.bind (Protocol.float_tok "p" p) (fun p ->
                   Ok (Create { name; tau; k; p }))))
   | [ "I"; name; key; weight ] when Protocol.valid_name name ->
-      Result.bind (int_tok "key" key) (fun key ->
-          Result.bind (float_tok "weight" weight) (fun weight ->
-              if weight <= 0. then
-                Error (Printf.sprintf "weight %g must be > 0" weight)
-              else Ok (Ingest { name; key; weight })))
+      Result.bind (Protocol.int_tok "key" key) (fun key ->
+          Result.bind (Protocol.pos_float_tok "weight" weight) (fun weight ->
+              Ok (Ingest { name; key; weight })))
   | "B" :: name :: count :: rest when Protocol.valid_name name ->
-      Result.bind (int_tok "record count" count) (fun count ->
+      Result.bind (Protocol.int_tok "record count" count) (fun count ->
           if count < 1 || List.length rest <> 2 * count then
             Error
               (Printf.sprintf
@@ -107,15 +97,11 @@ let decode_op payload =
             let rec fill i = function
               | [] -> Ok (Ingest_batch { name; records })
               | key :: weight :: rest ->
-                  Result.bind (int_tok "key" key) (fun key ->
-                      Result.bind (float_tok "weight" weight) (fun weight ->
-                          if weight <= 0. then
-                            Error
-                              (Printf.sprintf "weight %g must be > 0" weight)
-                          else begin
-                            records.(i) <- (key, weight);
-                            fill (i + 1) rest
-                          end))
+                  Result.bind (Protocol.int_tok "key" key) (fun key ->
+                      Result.bind (Protocol.pos_float_tok "weight" weight)
+                        (fun weight ->
+                          records.(i) <- (key, weight);
+                          fill (i + 1) rest))
               | [ _ ] -> Error "odd batch token count"
             in
             fill 0 rest)
@@ -164,7 +150,9 @@ let scan_int name ~prefix ~suffix =
   let pl = String.length prefix and sl = String.length suffix in
   let n = String.length name in
   if n > pl + sl && String.sub name 0 pl = prefix && String.sub name (n - sl) sl = suffix
-  then int_of_string_opt (String.sub name pl (n - pl - sl))
+  then
+    Result.to_option
+      (Protocol.int_tok prefix (String.sub name pl (n - pl - sl)))
   else None
 
 let scan_checkpoint name = scan_int name ~prefix:"checkpoint-" ~suffix:".snap"
@@ -176,9 +164,10 @@ let scan_segment name =
      && String.sub name (n - 4) 4 = ".log"
   then
     match
-      (int_of_string_opt (String.sub name 4 6), int_of_string_opt (String.sub name 11 6))
+      (Protocol.int_tok "epoch" (String.sub name 4 6),
+       Protocol.int_tok "seq" (String.sub name 11 6))
     with
-    | Some e, Some s when e >= 0 && s >= 0 -> Some (e, s)
+    | Ok e, Ok s when e >= 0 && s >= 0 -> Some (e, s)
     | _ -> None
   else None
 
@@ -256,11 +245,8 @@ let prune_below dir keep_epoch =
 let checkpoint t store =
   Numerics.Obs.span ~cat:"server" "server.wal.checkpoint" @@ fun () ->
   let new_epoch = t.epoch + 1 in
-  let snap = Snapshot.to_string store in
-  let* () =
-    Durable.write_file_atomic ~site:"snapshot.write"
-      ~path:(checkpoint_path t.cfg.dir new_epoch)
-      snap
+  let* (_ : int) =
+    Snapshot.write store ~path:(checkpoint_path t.cfg.dir new_epoch)
   in
   (* The checkpoint is durable; everything before it is redundant. Seal
      the old epoch's segment and open the new epoch's first one. *)

@@ -7,12 +7,14 @@
     {!checkpoint} writes [checkpoint-<epoch>.snap] atomically, bumps the
     epoch, and prunes everything older than one fallback generation.
 
-    Because summaries are deterministic functions of the accumulated
-    per-key weights and the recorded seeds (see {!Store}), replaying the
-    log against the checkpoint reproduces query answers {e bit for bit}
-    — the crash-recovery property suite in [test/test_wal.ml] enforces
-    this at injected torn-write / fsync-failure / mid-checkpoint crash
-    points. *)
+    A checkpoint holds every instance's exact {!Store.summary} and
+    summaries are deterministic functions of the accumulated per-key
+    weights and the recorded seeds (see {!Store}), so replaying the log
+    against the checkpoint reproduces every summary field — [records]
+    and [volume] included — and hence STATS and query answers {e bit for
+    bit}; the crash-recovery property suite in [test/test_wal.ml]
+    enforces this at injected torn-write / fsync-failure /
+    mid-checkpoint crash points. *)
 
 type fsync_policy =
   | Always  (** fsync after every append — no acknowledged record is ever lost *)

@@ -270,28 +270,16 @@ let test_store_auto_flush () =
   (* The 64th push crossed [flush_every]: everything was applied. *)
   Alcotest.(check int) "auto-flushed" 0 (Store.pending st)
 
-(* The coordinated-summary determinism claim: summaries and answers are
-   bit-identical whatever the shard / domain count. *)
+(* Every field of every instance. The coordinated-summary determinism
+   claim: these are bit-identical whatever the shard / domain count, and
+   across a snapshot round trip. *)
 let summaries_of st =
   Store.flush st;
   List.map
     (fun i ->
-      ( Store.name i, Store.records i, Store.volume i,
-        Store.pps_sample i, Store.bottom_k i, Store.binary_sample i,
-        Store.varopt_entries i, Store.varopt_threshold i ))
-    (Store.instances st)
-
-(* What a snapshot replay preserves bit-for-bit: the query-facing
-   summaries. VarOpt is rebuilt (fresh stream draw), [records] restarts
-   at the key count, and [volume] is re-summed in key order (last-ulp
-   FP difference) — all documented in {!Snapshot}. *)
-let preserved_summaries_of st =
-  Store.flush st;
-  List.map
-    (fun i ->
-      ( Store.name i, Store.id i, Store.instance_config i,
-        Store.cardinality i, Store.pps_sample i, Store.bottom_k i,
-        Store.binary_sample i ))
+      ( (Store.name i, Store.id i, Store.instance_config i),
+        (Store.records i, Store.volume i, Store.cardinality i),
+        Store.pps_sample i, Store.bottom_k i, Store.binary_sample i ))
     (Store.instances st)
 
 let test_store_ingest_many () =
@@ -416,8 +404,11 @@ let test_snapshot_roundtrip () =
   let st2 = of_string_exn s in
   Alcotest.(check string) "byte-identical round trip" s
     (Snapshot.to_string st2);
-  Alcotest.(check bool) "query summaries identical after reload" true
-    (preserved_summaries_of st = preserved_summaries_of st2)
+  Alcotest.(check bool) "every summary field identical after reload" true
+    (summaries_of st = summaries_of st2);
+  let stats st = fst (Engine.handle_request (Engine.create st) P.Stats) in
+  Alcotest.(check string) "STATS byte-identical after reload" (stats st)
+    (stats st2)
 
 let test_snapshot_requery_identical () =
   let st = populated_store () in
@@ -439,14 +430,24 @@ let test_snapshot_guards () =
   let st = populated_store () in
   let s = Snapshot.to_string st in
   let lines = String.split_on_char '\n' s in
-  let fail_parse msg s =
+  let parse_error msg s =
     match Snapshot.of_string_r s with
     | Ok _ -> Alcotest.failf "%s: expected a parse error" msg
     | Error e ->
         Alcotest.(check bool) (msg ^ " carries a message") true
-          (String.length e.Sampling.Io.message > 0)
+          (String.length e.Sampling.Io.message > 0);
+        e
   in
-  fail_parse "bad magic" ("bogus 1\n" ^ String.concat "\n" (List.tl lines));
+  let fail_parse msg s = ignore (parse_error msg s) in
+  let fail_at msg line s =
+    Alcotest.(check int) (msg ^ ": line") line
+      (parse_error msg s).Sampling.Io.line
+  in
+  let starts prefix l =
+    String.length l >= String.length prefix
+    && String.sub l 0 (String.length prefix) = prefix
+  in
+  fail_at "bad magic" 1 ("bogus 1\n" ^ String.concat "\n" (List.tl lines));
   fail_parse "trailing garbage" (s ^ "junk\n");
   (* Drop the final [end] marker: truncated input. *)
   let no_end =
@@ -458,24 +459,66 @@ let test_snapshot_guards () =
     String.concat "\n" (drop_last_end [] lines)
   in
   fail_parse "truncated" no_end;
-  (* Duplicate the first entry line of the first instance section. *)
+  (* Duplicate the first weight line of the first section: the strict
+     ascending-key check of the section parser refuses it. *)
   let dup =
-    let rec dup_first_entry seen_instance = function
+    let rec dup_first = function
       | [] -> []
       | x :: rest ->
-          if seen_instance && String.length x > 0 && x.[0] <> '#'
-             && not (String.length x >= 3 && String.sub x 0 3 = "end")
-          then x :: x :: rest
-          else
-            x
-            :: dup_first_entry
-                 (seen_instance
-                 || String.length x >= 9 && String.sub x 0 9 = "instance ")
-                 rest
+          if starts "w " x then x :: x :: rest else x :: dup_first rest
     in
-    String.concat "\n" (dup_first_entry false lines)
+    String.concat "\n" (dup_first lines)
   in
-  fail_parse "duplicate key" dup
+  fail_parse "duplicate key" dup;
+  (* A format-1 file is refused on its first line, not half-read. *)
+  fail_at "format 1 refused" 1
+    "optsample-snapshot 1 42 independent 0x1.9p+6 64 0x1.999999999999ap-5 \
+     8192 1\ninstance h 0 0x1.9p+6 64 0x1.999999999999ap-5\n1 0x1p+0\nend\n";
+  (* A bad line inside the second section is reported at its line in the
+     whole file, not at its offset within the section. *)
+  let second =
+    let rec find i seen = function
+      | [] -> Alcotest.fail "no second section"
+      | l :: rest ->
+          if starts "summary " l then
+            if seen then i else find (i + 1) true rest
+          else find (i + 1) seen rest
+    in
+    find 0 false lines
+  in
+  let bad = second + 1 in
+  let corrupt =
+    String.concat "\n"
+      (List.mapi (fun i l -> if i = bad then "w x 0x1p0" else l) lines)
+  in
+  fail_at "bad line in the second section" (bad + 1) corrupt
+
+(* The header defaults are validated the way CREATE validates its
+   parameters: a restored store must never serve a bare CREATE with a
+   k, p or flush cadence that CREATE itself would refuse. *)
+let test_snapshot_header_validation () =
+  let header fields = "optsample-snapshot 2 42 independent " ^ fields ^ "\n" in
+  let refused msg fields =
+    match Snapshot.of_string_r (header fields) with
+    | Ok _ -> Alcotest.failf "%s: header accepted" msg
+    | Error e ->
+        Alcotest.(check int) (msg ^ " diagnosed on line 1") 1 e.Sampling.Io.line
+  in
+  refused "k = 0" "0x1p+6 0 0x1p-1 8192 0";
+  refused "negative k" "0x1p+6 -3 0x1p-1 8192 0";
+  refused "p = 0" "0x1p+6 64 0x0p+0 8192 0";
+  refused "p > 1" "0x1p+6 64 0x1.8p+0 8192 0";
+  refused "flush_every < 0" "0x1p+6 64 0x1p-1 -5 0";
+  refused "flush_every = 0" "0x1p+6 64 0x1p-1 0 0";
+  refused "tau = 0" "0x0p+0 64 0x1p-1 8192 0";
+  refused "all at once" "0x1p+6 0 0x1.8p+0 -5 0";
+  match Snapshot.of_string_r (header "0x1p+6 64 0x1p-1 8192 0") with
+  | Ok st ->
+      let cfg = Store.config st in
+      Alcotest.(check int) "valid header: k" 64 cfg.Store.default_k;
+      Alcotest.(check int) "valid header: flush_every" 8192
+        cfg.Store.flush_every
+  | Error e -> Alcotest.failf "valid header refused: %s" e.Sampling.Io.message
 
 let test_snapshot_file_io () =
   let st = populated_store () in
@@ -489,8 +532,8 @@ let test_snapshot_file_io () =
       match Snapshot.load path with
       | Ok st2 ->
           Alcotest.(check bool)
-            "query summaries identical after file reload" true
-            (preserved_summaries_of st = preserved_summaries_of st2)
+            "every summary field identical after file reload" true
+            (summaries_of st = summaries_of st2)
       | Error e -> Alcotest.failf "load: %s" e.Sampling.Io.message)
 
 (* ------------------------------------------------------------------ *)
@@ -1203,6 +1246,8 @@ let () =
             test_snapshot_requery_identical;
           Alcotest.test_case "strict parser guards" `Quick
             test_snapshot_guards;
+          Alcotest.test_case "header validated like CREATE" `Quick
+            test_snapshot_header_validation;
           Alcotest.test_case "file write and load" `Quick
             test_snapshot_file_io;
         ] );

@@ -328,6 +328,34 @@ let test_wal_checkpoint () =
     (not (List.exists (fun n -> contains "wal-000000-" n) files));
   Wal.close r2.Wal.wal
 
+(* The restore law on STATS: a store recovered from a checkpoint plus its
+   delta answers STATS byte for byte as the uninterrupted run does —
+   records, volume and the per-shard applied counters included. *)
+let test_wal_checkpoint_stats_identical () =
+  List.iter
+    (fun shards ->
+      with_dir "wal" @@ fun dir ->
+      let pool = Numerics.Pool.create ~domains:shards () in
+      Fun.protect ~finally:(fun () -> Numerics.Pool.shutdown pool) @@ fun () ->
+      let store_cfg = { cfg with shards } in
+      let stats st = fst (Engine.handle_request (Engine.create st) P.Stats) in
+      let r = get (Wal.recover ~pool ~store_cfg (wal_cfg dir)) in
+      let engine = Engine.create ~wal:r.Wal.wal r.Wal.store in
+      let mid = 30 in
+      run_ops engine (take mid script);
+      ignore (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+      run_ops engine (List.filteri (fun i _ -> i >= mid) script);
+      let uninterrupted = stats r.Wal.store in
+      Wal.close r.Wal.wal;
+      let r2 = get (Wal.recover ~pool ~store_cfg (wal_cfg dir)) in
+      Alcotest.(check bool) "recovered on the checkpoint" true
+        (r2.Wal.checkpoint_epoch = Some 1);
+      Alcotest.(check string)
+        (Printf.sprintf "STATS byte-identical at %d shard(s)" shards)
+        uninterrupted (stats r2.Wal.store);
+      Wal.close r2.Wal.wal)
+    [ 1; 2 ]
+
 let test_wal_torn_tail_tolerated () =
   with_dir "wal" @@ fun dir ->
   let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
@@ -875,6 +903,8 @@ let () =
           Alcotest.test_case "segment rotation" `Quick test_wal_segment_rotation;
           Alcotest.test_case "checkpoint shortens replay and prunes" `Quick
             test_wal_checkpoint;
+          Alcotest.test_case "checkpoint recovery keeps STATS byte-identical"
+            `Quick test_wal_checkpoint_stats_identical;
           Alcotest.test_case "torn tail tolerated and truncated" `Quick
             test_wal_torn_tail_tolerated;
           Alcotest.test_case "corrupt checkpoint falls back a generation"
