@@ -126,14 +126,10 @@ let merge seeds (a : Store.summary) (b : Store.summary) =
         Hashtbl.replace cand key
           (Seeds.rank seeds Sampling.Rank.PPS ~instance:id ~key ~w))
       overlap;
-    let rec take n = function
-      | [] -> []
-      | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-    in
     let bk =
       Hashtbl.fold (fun key rank acc -> (rank, key) :: acc) cand []
       |> List.sort rank_compare
-      |> take (k + 1)
+      |> List.filteri (fun i _ -> i <= k)
     in
     Ok
       {
@@ -237,11 +233,10 @@ let parse_header line =
    the summary, the number of the next line and the unread lines; a
    failure carries the number of the offending line. *)
 let section ~line lines =
-  let at n r = Result.map_error (fun m -> (n, m)) r in
   match lines with
   | [] -> Error (line, "empty summary payload")
   | header :: rest ->
-      let* base = at line (parse_header header) in
+      let* base = Result.map_error (fun m -> (line, m)) (parse_header header) in
       let k = base.Store.s_cfg.Store.k in
       let wtbl = Hashtbl.create 256 in
       let sampled what key =
@@ -249,70 +244,11 @@ let section ~line lines =
         else Error (Printf.sprintf "%s key %d has no weight entry" what key)
       in
       (* [sec] orders sections; [last] enforces ascending order inside
-         one section. *)
-      let sec = ref 0 and last = ref None in
-      let acc_w = ref [] and acc_s = ref [] and acc_b = ref []
-      and acc_r = ref [] in
-      (* Compare against the previous key only when it belongs to the
-         {e same} section as this line ([mysec]); the first line of a new
-         section starts a fresh ascending chain. *)
-      let ascending what mysec key =
-        match !last with
-        | Some (s, prev) when s = mysec && key <= prev ->
-            Error (Printf.sprintf "%s keys out of order at %d" what key)
-        | _ -> Ok ()
-      in
-      let enter mysec key =
-        sec := mysec;
-        last := Some (mysec, key)
-      in
-      let entry l =
-        match String.split_on_char ' ' l with
-        | [ "w"; key; v ] when !sec <= 0 ->
-            let* key = Protocol.int_tok "weight key" key in
-            let* v = Protocol.pos_float_tok "weight" v in
-            let* () = ascending "weight" 0 key in
-            Hashtbl.replace wtbl key v;
-            acc_w := (key, v) :: !acc_w;
-            Ok (enter 0 key)
-        | [ "s"; key; v ] when !sec <= 1 ->
-            let* key = Protocol.int_tok "pps key" key in
-            let* v = Protocol.pos_float_tok "pps value" v in
-            let* () = ascending "pps" 1 key in
-            let* () = sampled "pps" key in
-            acc_s := (key, v) :: !acc_s;
-            Ok (enter 1 key)
-        | [ "b"; key ] when !sec <= 2 ->
-            let* key = Protocol.int_tok "binary key" key in
-            let* () = ascending "binary" 2 key in
-            let* () = sampled "binary" key in
-            acc_b := key :: !acc_b;
-            Ok (enter 2 key)
-        | [ "r"; key; rank ] when !sec <= 3 ->
-            let* key = Protocol.int_tok "bottom-k key" key in
-            let* rank = Protocol.float_tok "rank" rank in
-            (* (rank, key) pairs ascend: compare with the previous pair. *)
-            let* () =
-              match !acc_r with
-              | prev :: _ when rank_compare (rank, key) prev <= 0 ->
-                  Error (Printf.sprintf "bottom-k pairs out of order at %d" key)
-              | _ -> Ok ()
-            in
-            let* () = sampled "bottom-k" key in
-            acc_r := (rank, key) :: !acc_r;
-            Ok (enter 3 key)
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "bad summary line %S (expected 'w <key> <weight>', 's <key> \
-                  <value>', 'b <key>', 'r <key> <rank>' or 'end', sections \
-                  in that order)"
-                 l)
-      in
-      let rec go n = function
+         one section; [n] numbers the line at the head of the input. *)
+      let rec go n sec last acc_w acc_s acc_b acc_r = function
         | [] -> Error (n, "truncated summary payload (missing 'end')")
         | "end" :: rest ->
-            let bk = List.rev !acc_r in
+            let bk = List.rev acc_r in
             if List.length bk > k + 1 then
               Error
                 ( n,
@@ -322,18 +258,114 @@ let section ~line lines =
               Ok
                 ( {
                     base with
-                    Store.s_weights = List.rev !acc_w;
-                    s_pps = List.rev !acc_s;
-                    s_binary = List.rev !acc_b;
+                    Store.s_weights = List.rev acc_w;
+                    s_pps = List.rev acc_s;
+                    s_binary = List.rev acc_b;
                     s_bk = bk;
                   },
                   n + 1,
                   rest )
-        | l :: rest ->
-            let* () = at n (entry l) in
-            go (n + 1) rest
+        | line :: rest -> (
+            let at r = Result.map_error (fun m -> (n, m)) r in
+            (* Compare against the previous key only when it belongs to
+               the {e same} section as this line ([mysec]); the first
+               line of a new section starts a fresh ascending chain. *)
+            let ascending what mysec order key =
+              match last with
+              | Some (s, prev) when s = mysec && order key prev <= 0 ->
+                  Error (Printf.sprintf "%s keys out of order at %d" what key)
+              | _ -> Ok ()
+            in
+            let go = go (n + 1) in
+            match String.split_on_char ' ' line with
+            | [ "w"; key; v ] when sec <= 0 ->
+                let* key = at (Protocol.int_tok "weight key" key) in
+                let* v = at (Protocol.pos_float_tok "weight" v) in
+                let* () = at (ascending "weight" 0 Int.compare key) in
+                Hashtbl.replace wtbl key v;
+                go 0
+                  (Some (0, key))
+                  ((key, v) :: acc_w) acc_s acc_b acc_r rest
+            | [ "s"; key; v ] when sec <= 1 ->
+                let* key = at (Protocol.int_tok "pps key" key) in
+                let* v = at (Protocol.pos_float_tok "pps value" v) in
+                let* () = at (ascending "pps" 1 Int.compare key) in
+                let* () = at (sampled "pps" key) in
+                go 1
+                  (Some (1, key))
+                  acc_w ((key, v) :: acc_s) acc_b acc_r rest
+            | [ "b"; key ] when sec <= 2 ->
+                let* key = at (Protocol.int_tok "binary key" key) in
+                let* () = at (ascending "binary" 2 Int.compare key) in
+                let* () = at (sampled "binary" key) in
+                go 2 (Some (2, key)) acc_w acc_s (key :: acc_b) acc_r rest
+            | [ "r"; key; rank ] when sec <= 3 ->
+                let* key = at (Protocol.int_tok "bottom-k key" key) in
+                let* rank = at (Protocol.float_tok "rank" rank) in
+                (* (rank, key) pairs ascend; encode the pair order on the
+                   key axis via the accumulated list head instead. *)
+                let* () =
+                  at
+                    (match acc_r with
+                    | (r0, k0) :: _
+                      when rank_compare (rank, key) (r0, k0) <= 0 ->
+                        Error
+                          (Printf.sprintf "bottom-k pairs out of order at %d"
+                             key)
+                    | _ -> Ok ())
+                in
+                let* () = at (sampled "bottom-k" key) in
+                go 3 (Some (3, key)) acc_w acc_s acc_b ((rank, key) :: acc_r)
+                  rest
+            | _ ->
+                Error
+                  ( n,
+                    Printf.sprintf
+                      "bad summary line %S (expected 'w <key> <weight>', 's \
+                       <key> <value>', 'b <key>', 'r <key> <rank>' or 'end', \
+                       sections in that order)"
+                      line ))
       in
-      go (line + 1) rest
+      go (line + 1) 0 None [] [] [] [] rest
+
+(* A summary's samples must be exactly what its weights and seeds
+   determine — as Store.apply derives them and [merge] preserves them:
+   PPS holds the keys with [w >= u·tau] at their weight, binary the keys
+   with [u <= p], bottom-k the k+1 smallest (rank, key) pairs. The
+   payloads are compared line by line, so a mismatch is reported at its
+   offset from the section header. *)
+let check_derived seeds (s : Store.summary) =
+  let id = s.Store.s_id and { Store.tau; k; p } = s.Store.s_cfg in
+  let u key = Seeds.seed seeds ~instance:id ~key in
+  let weights = s.Store.s_weights in
+  let rank (key, w) =
+    (Seeds.rank seeds Sampling.Rank.PPS ~instance:id ~key ~w, key)
+  in
+  let derived =
+    {
+      s with
+      Store.s_pps = List.filter (fun (key, w) -> w >= u key *. tau) weights;
+      s_binary = List.filter (fun key -> u key <= p) (List.map fst weights);
+      s_bk =
+        List.filteri
+          (fun i _ -> i <= k)
+          (List.sort rank_compare (List.map rank weights));
+    }
+  in
+  let rec first_diff off got want =
+    match (got, want) with
+    | [], [] -> Ok ()
+    | g :: got, w :: want when g = w -> first_diff (off + 1) got want
+    | _, want ->
+        Error
+          ( off,
+            Printf.sprintf
+              "samples of %S do not follow from its weights and seeds: \
+               expected %s here"
+              s.Store.s_name
+              (match want with w :: _ -> Printf.sprintf "%S" w | [] -> "end") )
+  in
+  first_diff 0 (payload s) (payload derived)
 
 let of_lines lines =
   match section ~line:1 lines with
@@ -348,11 +380,9 @@ let of_lines lines =
    to a single node that ingested the union stream. *)
 let materialize ?pool cfg summaries =
   let st = Store.create ?pool cfg in
-  let rec go = function
-    | [] -> Ok st
-    | s :: rest -> (
-        match Store.install_summary st s with
-        | Ok _ -> go rest
-        | Error m -> Error m)
-  in
-  go summaries
+  List.fold_left
+    (fun acc s ->
+      let* () = acc in
+      Result.map ignore (Store.install_summary st s))
+    (Ok ()) summaries
+  |> Result.map (fun () -> st)

@@ -74,6 +74,13 @@ val section :
     without a weight entry, an oversized working set and a missing [end]
     are all errors, each with the number of the offending line. *)
 
+val check_derived :
+  Sampling.Seeds.t -> Store.summary -> (unit, int * string) result
+(** [Ok ()] when the PPS, binary and bottom-k samples are exactly what
+    the weights and seeds determine, as in every summary {!Store} exports
+    or {!merge} returns; otherwise [Error (off, msg)], [off] being the
+    offending line's offset from the section header in {!payload}. *)
+
 val of_lines : string list -> (Store.summary, string) result
 (** {!section} over a whole payload (its lines numbered from 1); lines
     after [end] are an error. The message starts with ["line <n>: "]. *)

@@ -17,6 +17,16 @@ module P = Protocol
 
 let ( let* ) = Result.bind
 
+(* [f] over [xs] in order; the first [Error] stops the walk. *)
+let map_result f xs =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    (Ok []) xs
+  |> Result.map List.rev
+
 type t = {
   backends : Client.t array;
   retry : Client.retry;
@@ -62,18 +72,21 @@ let check_universe cfg ~master ~mode_s ~where =
          (Snapshot.mode_name cfg.Store.mode))
   else Ok ()
 
-let catalog_of_sync cfg (header, lines) =
+(* The JSON header of a PULL / SYNC response: an error passes through,
+   and the seed universe must be ours. *)
+let check_header cfg ~where header =
   if not (P.json_ok header) then
     Error
-      (Option.value ~default:header (P.json_field "error" header))
+      (Printf.sprintf "%s: %s" where
+         (Option.value ~default:header (P.json_field "error" header)))
   else
-    let* () =
-      match (P.json_field "master" header, P.json_field "mode" header) with
-      | Some master, Some mode_s ->
-          check_universe cfg ~master ~mode_s ~where:"backend 0"
-      | _ -> Error (Printf.sprintf "SYNC header without master/mode: %s" header)
-    in
-    match Snapshot.of_lines lines with
+    match (P.json_field "master" header, P.json_field "mode" header) with
+    | Some master, Some mode_s -> check_universe cfg ~master ~mode_s ~where
+    | _ -> Error (Printf.sprintf "%s: header without master/mode: %s" where header)
+
+let catalog_of_sync cfg (header, lines) =
+  let* () = check_header cfg ~where:"backend 0" header in
+  match Snapshot.of_lines lines with
     | Ok (_, summaries) -> Ok (List.map (fun s -> s.Store.s_name) summaries)
     | Error e ->
         Error ("bad SYNC payload: " ^ Sampling.Io.parse_error_to_string e)
@@ -123,61 +136,36 @@ let connect ?(retry = Client.default_retry) ~store_cfg addrs =
 (* Sequential fan-out, first failure wins: a transport error answers a
    structured backend error; a backend's own error response passes
    through verbatim. *)
+let backend_ids t = List.init (backend_count t) Fun.id
+
 let fwd_all t line =
-  let n = backend_count t in
-  let rec go i acc =
-    if i = n then Ok (List.rev acc)
-    else
+  map_result
+    (fun i ->
       match Client.request_retry ~retry:t.retry t.backends.(i) line with
       | Error m ->
           Error (P.error ~kind:"backend" (Printf.sprintf "backend %d: %s" i m))
       | Ok resp when not (P.json_ok resp) -> Error resp
-      | Ok resp -> go (i + 1) (resp :: acc)
-  in
-  go 0 []
+      | Ok resp -> Ok resp)
+    (backend_ids t)
 
-let pull_summary t i ~name =
-  match Client.request_lines t.backends.(i) ("PULL " ^ name) with
-  | Error m -> Error (Printf.sprintf "backend %d: %s" i m)
-  | Ok (header, lines) ->
-      if not (P.json_ok header) then
-        Error
-          (Printf.sprintf "backend %d: %s" i
-             (Option.value ~default:header (P.json_field "error" header)))
-      else
-        let* () =
-          match (P.json_field "master" header, P.json_field "mode" header) with
-          | Some master, Some mode_s ->
-              check_universe t.cfg ~master ~mode_s
-                ~where:(Printf.sprintf "backend %d" i)
-          | _ ->
-              Error
-                (Printf.sprintf "backend %d: PULL header without master/mode" i)
-        in
-        Result.map_error
-          (fun m -> Printf.sprintf "backend %d: bad summary payload: %s" i m)
-          (Merge.of_lines lines)
+let pull_summary t ~name i =
+  let where = Printf.sprintf "backend %d" i in
+  let* header, lines =
+    Result.map_error
+      (Printf.sprintf "%s: %s" where)
+      (Client.request_lines t.backends.(i) ("PULL " ^ name))
+  in
+  let* () = check_header t.cfg ~where header in
+  Result.map_error
+    (Printf.sprintf "%s: bad summary payload: %s" where)
+    (Merge.of_lines lines)
 
 let merged_summary t ~name =
-  let n = backend_count t in
-  let rec go i acc =
-    if i = n then Merge.merge_all t.seeds (List.rev acc)
-    else
-      match pull_summary t i ~name with
-      | Ok s -> go (i + 1) (s :: acc)
-      | Error _ as e -> e
-  in
-  go 0 []
+  let* summaries = map_result (pull_summary t ~name) (backend_ids t) in
+  Merge.merge_all t.seeds summaries
 
 let merged_summaries t names =
-  let rec each acc = function
-    | [] -> Ok (List.rev acc)
-    | name :: rest -> (
-        match merged_summary t ~name with
-        | Ok s -> each (s :: acc) rest
-        | Error _ as e -> e)
-  in
-  each [] names
+  map_result (fun name -> merged_summary t ~name) names
 
 let merged_store t names =
   let* summaries = merged_summaries t names in

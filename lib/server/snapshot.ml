@@ -9,11 +9,6 @@ let mode_name = function
   | Sampling.Seeds.Shared -> "shared"
   | Sampling.Seeds.Independent -> "independent"
 
-let mode_of_name = function
-  | "shared" -> Some Sampling.Seeds.Shared
-  | "independent" -> Some Sampling.Seeds.Independent
-  | _ -> None
-
 let lines (cfg : Store.config) summaries =
   Printf.sprintf "%s %d %s %h %d %h %d %d" magic cfg.master
     (mode_name cfg.mode) cfg.default_tau cfg.default_k cfg.default_p
@@ -26,82 +21,69 @@ let summaries st =
 
 let store_lines st = lines (Store.config st) (summaries st)
 
-let text ls =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun l ->
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n')
-    ls;
-  Buffer.contents buf
+let text ls = String.concat "\n" (ls @ [ "" ])
 
 let to_string st = text (store_lines st)
 
 let parse_header header =
-  let fail m = err 1 m in
-  let at1 r = Result.map_error (fun message -> { line = 1; message }) r in
   match String.split_on_char ' ' header with
-  | "optsample-snapshot" :: "2" :: fields -> (
-      match fields with
-      | [ master; mode; tau; k; p; flush_every; count ] -> (
-          let* master = at1 (Protocol.int_tok "master seed" master) in
-          match mode_of_name mode with
-          | None ->
-              fail
-                (Printf.sprintf
-                   "bad seed mode %S (expected shared or independent)" mode)
-          | Some mode ->
-              let* default_tau = at1 (Protocol.float_tok "default tau" tau) in
-              let* default_k = at1 (Protocol.int_tok "default k" k) in
-              let* default_p = at1 (Protocol.float_tok "default p" p) in
-              let* flush_every =
-                at1 (Protocol.int_tok "flush_every" flush_every)
-              in
-              let* count = at1 (Protocol.int_tok "instance count" count) in
-              let cfg =
-                {
-                  Store.default_config with
-                  master;
-                  mode;
-                  default_tau;
-                  default_k;
-                  default_p;
-                  flush_every;
-                }
-              in
-              let* () = at1 (Store.check_defaults cfg) in
-              if count < 0 then
-                fail (Printf.sprintf "negative instance count %d" count)
-              else Ok (cfg, count))
-      | fields ->
-          fail
-            (Printf.sprintf
-               "truncated snapshot header: %d field(s) after %S, expected 7"
-               (List.length fields) magic))
+  | [ "optsample-snapshot"; "2"; master; mode; tau; k; p; flush_every; count ]
+    ->
+      Result.map_error
+        (fun message -> { line = 1; message })
+        (let* master = Protocol.int_tok "master seed" master in
+         let* mode =
+           match mode with
+           | "shared" -> Ok Sampling.Seeds.Shared
+           | "independent" -> Ok Sampling.Seeds.Independent
+           | _ ->
+               Error
+                 (Printf.sprintf
+                    "bad seed mode %S (expected shared or independent)" mode)
+         in
+         let* default_tau = Protocol.float_tok "default tau" tau in
+         let* default_k = Protocol.int_tok "default k" k in
+         let* default_p = Protocol.float_tok "default p" p in
+         let* flush_every = Protocol.int_tok "flush_every" flush_every in
+         let* count = Protocol.int_tok "instance count" count in
+         let cfg =
+           { Store.default_config with
+             master; mode; default_tau; default_k; default_p; flush_every }
+         in
+         let* () = Store.check_defaults cfg in
+         if count < 0 then
+           Error (Printf.sprintf "negative instance count %d" count)
+         else Ok (cfg, count))
+  | "optsample-snapshot" :: "2" :: fields ->
+      err 1
+        (Printf.sprintf
+           "truncated snapshot header: %d field(s) after %S, expected 7"
+           (List.length fields) magic)
   | "optsample-snapshot" :: version :: _ ->
-      fail
+      err 1
         (Printf.sprintf
            "unsupported snapshot format %S (this build reads format 2 only)"
            version)
   | _ ->
-      fail
+      err 1
         (Printf.sprintf "not an optsample snapshot (header %S, expected %S …)"
            header magic)
 
 (* Header on line 1, then [count] sections in id order, each with the
-   line number of its header. *)
+   line number of its header; one final empty line (the newline that
+   ends a file) is not trailing garbage. *)
 let parse ls =
   match ls with
   | [] -> err 0 "empty input"
   | header :: rest ->
       let* cfg, count = parse_header header in
       let rec sections i line acc = function
-        | [] when i = count -> Ok (cfg, List.rev acc)
+        | ([] | [ "" ]) when i = count -> Ok (cfg, List.rev acc)
         | l :: _ when i = count ->
             err line
               (Printf.sprintf "trailing garbage after %d instance(s): %S" count
                  l)
-        | [] ->
+        | [] | [ "" ] ->
             err line
               (Printf.sprintf "truncated snapshot: %d of %d instance(s)" i
                  count)
@@ -113,6 +95,8 @@ let parse ls =
                   err line
                     (Printf.sprintf "instance id %d out of order (expected %d)"
                        s.Store.s_id i)
+                else if List.exists (fun (_, p) -> p.Store.s_name = s.Store.s_name) acc
+                then err line (Printf.sprintf "duplicate instance name %S" s.Store.s_name)
                 else sections (i + 1) next ((line, s) :: acc) rest)
       in
       sections 0 2 [] rest
@@ -121,25 +105,33 @@ let of_lines ls =
   let* cfg, sections = parse ls in
   Ok (cfg, List.map snd sections)
 
+let foreign_format s =
+  let eol = Option.value (String.index_opt s '\n') ~default:(String.length s) in
+  match String.split_on_char ' ' (String.sub s 0 eol) with
+  | "optsample-snapshot" :: v :: _ ->
+      v <> "2" && v <> "" && String.for_all (fun c -> c >= '0' && c <= '9') v
+  | _ -> false
+
 let of_string_r ?pool ?shards s =
-  let ls =
-    match List.rev (String.split_on_char '\n' s) with
-    | "" :: rev -> List.rev rev
-    | rev -> List.rev rev
+  let* cfg, sections = parse (String.split_on_char '\n' s) in
+  (* A restored summary is served as is, so its samples must be the ones
+     its weights and seeds determine: a checkpoint carries no CRC. *)
+  let seeds = Sampling.Seeds.create ~master:cfg.Store.master cfg.Store.mode in
+  let* () =
+    List.fold_left
+      (fun acc (line, s) ->
+        let* () = acc in
+        Result.map_error
+          (fun (off, message) -> { line = line + off; message })
+          (Merge.check_derived seeds s))
+      (Ok ()) sections
   in
-  let* cfg, sections = parse ls in
   let cfg =
     { cfg with Store.shards = Option.value shards ~default:cfg.Store.shards }
   in
-  let st = Store.create ?pool cfg in
-  let rec install = function
-    | [] -> Ok st
-    | (n, s) :: rest -> (
-        match Store.install_summary st s with
-        | Ok _ -> install rest
-        | Error m -> err n m)
-  in
-  install sections
+  Result.map_error
+    (fun message -> { line = 0; message })
+    (Merge.materialize ?pool cfg (List.map snd sections))
 
 (* All snapshot bytes go through Durable: the write is atomic (tmp +
    fsync + rename — a crash mid-write never damages the previous file)

@@ -50,17 +50,24 @@ val of_lines :
     the sections. Strict: a bad or format-1 header, header defaults that
     {!Store.check_defaults} refuses (the bounds [CREATE] puts on its
     parameters, and [flush_every > 0]), any section {!Merge.section}
-    rejects (including duplicate keys), out-of-order instance ids, a
-    truncated file and trailing garbage are all errors, numbered by their
-    line in the whole snapshot. *)
+    rejects (including duplicate keys), out-of-order instance ids,
+    duplicate instance names, a truncated file and trailing garbage are
+    all errors, numbered by their line in the whole snapshot. *)
+
+val foreign_format : string -> bool
+(** Whether [text]'s first line is the header of another numbered
+    snapshot format: a file this build cannot read, not a damaged one.
+    {!Wal.recover} stops on such a checkpoint instead of quarantining it. *)
 
 val of_string_r :
   ?pool:Numerics.Pool.t ->
   ?shards:int ->
   string ->
   (Store.t, Sampling.Io.parse_error) result
-(** {!of_lines}, then {!Store.install_summary} of each section into a
-    fresh store. *)
+(** {!of_lines}, then {!Merge.check_derived} on each section — a
+    summary is served as is, so samples that do not follow from its
+    weights and seeds are an error at the offending line — then
+    {!Merge.materialize} of the sections into a fresh store. *)
 
 val write_summaries :
   Store.config -> Store.summary list -> path:string -> (int, string) result

@@ -19,11 +19,6 @@
 
 type fsync_policy = Always | Interval of int | Never
 
-let fsync_policy_to_string = function
-  | Always -> "always"
-  | Interval n -> Printf.sprintf "interval=%d" n
-  | Never -> "never"
-
 let fsync_policy_of_string s =
   match String.lowercase_ascii s with
   | "always" -> Ok Always
@@ -179,12 +174,8 @@ type t = {
   mutable seq : int;
   mutable writer : Durable.writer;
   mutable unsynced : int;  (* appends since the last fsync (Interval) *)
-  mutable entries : int;  (* ops appended through this handle *)
 }
 
-let dir t = t.cfg.dir
-let epoch t = t.epoch
-let entries t = t.entries
 let segment t = Durable.path t.writer
 
 let ( let* ) = Result.bind
@@ -217,7 +208,6 @@ let rotate t =
 let append t op =
   Numerics.Obs.count "server.wal.append";
   let* () = Durable.append ~site:"wal.append" t.writer (encode_frame op) in
-  t.entries <- t.entries + 1;
   let* () = maybe_sync t in
   if Durable.offset t.writer >= t.cfg.segment_bytes then rotate t else Ok ()
 
@@ -279,28 +269,24 @@ let quarantine path =
   dst
 
 let apply_op store op =
+  (* Replay outruns the drain: flush and retry — shedding during
+     recovery would silently drop acknowledged records. *)
+  let ingest f =
+    Result.map_error Store.ingest_error_to_string
+      (match f () with
+      | Error (Store.Overloaded _) ->
+          Store.flush store;
+          f ()
+      | r -> r)
+  in
   match op with
   | Create { name; tau; k; p } ->
       let* (_ : Store.instance) = Store.create_instance store ~name ~tau ~k ~p () in
       Ok ()
-  | Ingest { name; key; weight } -> (
-      match Store.ingest store ~name ~key ~weight with
-      | Ok () -> Ok ()
-      | Error (Store.Overloaded _) ->
-          (* Replay outruns the drain: flush and retry — shedding during
-             recovery would silently drop acknowledged records. *)
-          Store.flush store;
-          Result.map_error Store.ingest_error_to_string
-            (Store.ingest store ~name ~key ~weight)
-      | Error e -> Error (Store.ingest_error_to_string e))
-  | Ingest_batch { name; records } -> (
-      match Store.ingest_many store ~name ~records with
-      | Ok () -> Ok ()
-      | Error (Store.Overloaded _) ->
-          Store.flush store;
-          Result.map_error Store.ingest_error_to_string
-            (Store.ingest_many store ~name ~records)
-      | Error e -> Error (Store.ingest_error_to_string e))
+  | Ingest { name; key; weight } ->
+      ingest (fun () -> Store.ingest store ~name ~key ~weight)
+  | Ingest_batch { name; records } ->
+      ingest (fun () -> Store.ingest_many store ~name ~records)
   | Flush ->
       Store.flush store;
       Ok ()
@@ -367,17 +353,16 @@ let recover ?pool ?(store_cfg = Store.default_config) cfg =
        takes over. With no generation left, scratch recovery is still
        exact when the segment history reaches back to epoch 0. *)
     let rec pick_checkpoint skipped = function
-      | [] ->
-          let full_history =
-            match segments with [] -> true | (e, _, _) :: _ -> e = 0
-          in
-          if skipped = [] || full_history then
-            Ok (Store.create ?pool store_cfg, None, List.rev skipped)
-          else
-            Error
-              (Printf.sprintf "no usable checkpoint in %s (quarantined: %s)"
-                 cfg.dir
-                 (String.concat ", " (List.rev skipped)))
+      | [] -> (
+          match segments with
+          | (e, _, _) :: _ when e > 0 ->
+              Error
+                (Printf.sprintf
+                   "no usable checkpoint in %s and its log starts at epoch \
+                    %d: the history before is missing (quarantined: %s)"
+                   cfg.dir e
+                   (String.concat ", " (List.rev skipped)))
+          | _ -> Ok (Store.create ?pool store_cfg, None, List.rev skipped))
       | (ep, path) :: rest -> (
           match Durable.read_file path with
           | Error m ->
@@ -386,6 +371,15 @@ let recover ?pool ?(store_cfg = Store.default_config) cfg =
           | Ok s -> (
               match Snapshot.of_string_r ?pool ~shards:store_cfg.shards s with
               | Ok store -> Ok (store, Some ep, List.rev skipped)
+              | Error pe when Snapshot.foreign_format s ->
+                  (* Not damage: quarantining it and falling back would
+                     start from an older generation, or from nothing. *)
+                  Error
+                    (Printf.sprintf
+                       "%s: %s; recovery stopped and left %s as it is: \
+                        recover with the build that wrote it, or migrate \
+                        or remove the checkpoint by hand"
+                       path (Sampling.Io.parse_error_to_string pe) cfg.dir)
               | Error pe ->
                   let dst = quarantine path in
                   pick_checkpoint
@@ -418,7 +412,7 @@ let recover ?pool ?(store_cfg = Store.default_config) cfg =
       | [] -> (base_epoch, 0)
     in
     let* writer = open_segment cfg ~epoch ~seq in
-    let wal = { cfg; epoch; seq; writer; unsynced = 0; entries = 0 } in
+    let wal = { cfg; epoch; seq; writer; unsynced = 0 } in
     Ok
       {
         store;

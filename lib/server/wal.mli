@@ -21,7 +21,6 @@ type fsync_policy =
   | Interval of int  (** fsync every [n] appends — bounded loss window *)
   | Never  (** leave flushing to the OS — crash loses the unsynced tail *)
 
-val fsync_policy_to_string : fsync_policy -> string
 val fsync_policy_of_string : string -> (fsync_policy, string) result
 (** Accepts ["always"], ["never"], ["interval=N"] (or a bare positive
     integer, meaning [Interval]). *)
@@ -80,11 +79,6 @@ val checkpoint : t -> Store.t -> (int, string) result
 val close : t -> unit
 (** Final fsync (unless [Never]) and close the current segment. *)
 
-val dir : t -> string
-val epoch : t -> int
-val entries : t -> int
-(** Ops appended through this handle (not counting replayed history). *)
-
 val segment : t -> string
 (** Path of the segment currently being appended. *)
 
@@ -111,6 +105,10 @@ val recover :
     generation takes over (its segments were kept for exactly this); a
     malformed suffix of the {e final} segment is treated as a torn tail,
     dropped, and physically truncated — malformed bytes anywhere else
-    are an error, never silently skipped. [store_cfg] (default
+    are an error, never silently skipped. A checkpoint in another
+    snapshot format ({!Snapshot.foreign_format}) is not damage: recovery
+    stops with an error and leaves the directory as it is. So does a
+    directory with no usable checkpoint whose segments do not reach back
+    to epoch 0 (the history before them is gone). [store_cfg] (default
     {!Store.default_config}) supplies the configuration when no
     checkpoint exists, and the shard count always. *)

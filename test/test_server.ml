@@ -491,7 +491,47 @@ let test_snapshot_guards () =
     String.concat "\n"
       (List.mapi (fun i l -> if i = bad then "w x 0x1p0" else l) lines)
   in
-  fail_at "bad line in the second section" (bad + 1) corrupt
+  fail_at "bad line in the second section" (bad + 1) corrupt;
+  (* A name taken by an earlier section is refused at the later header. *)
+  let renamed =
+    String.concat "\n"
+      (List.mapi
+         (fun i l ->
+           if i = second then
+             match String.split_on_char ' ' l with
+             | "summary" :: _ :: rest -> String.concat " " ("summary" :: "h1" :: rest)
+             | _ -> l
+           else l)
+         lines)
+  in
+  fail_at "duplicate instance name" (second + 1) renamed;
+  (* Samples that parse but contradict the weights and seeds are refused
+     at the offending line: a PPS value that is not its key's weight, and
+     a PPS entry dropped from the sample. *)
+  let first_s =
+    let rec find i = function
+      | [] -> Alcotest.fail "no PPS line"
+      | l :: rest -> if starts "s " l then i else find (i + 1) rest
+    in
+    find 0 lines
+  in
+  let doubled =
+    String.concat "\n"
+      (List.mapi
+         (fun i l ->
+           if i = first_s then
+             match String.split_on_char ' ' l with
+             | [ "s"; key; v ] ->
+                 Printf.sprintf "s %s %h" key (2. *. float_of_string v)
+             | _ -> l
+           else l)
+         lines)
+  in
+  fail_at "PPS value off its weight" (first_s + 1) doubled;
+  let dropped =
+    String.concat "\n" (List.filteri (fun i _ -> i <> first_s) lines)
+  in
+  fail_at "PPS entry missing" (first_s + 1) dropped
 
 (* The header defaults are validated the way CREATE validates its
    parameters: a restored store must never serve a bare CREATE with a

@@ -408,6 +408,64 @@ let test_wal_corrupt_checkpoint_fallback () =
   check_equals_reference ~msg:"checkpoint fallback" r2.Wal.store n_script;
   Wal.close r2.Wal.wal
 
+(* A checkpoint in another snapshot format is not damage: recovery
+   refuses to start and leaves every file as it was, on every try, rather
+   than quarantining the checkpoints and starting from what is left. *)
+let test_wal_foreign_checkpoint_refused () =
+  with_dir "wal" @@ fun dir ->
+  let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  let engine = Engine.create ~wal:r.Wal.wal r.Wal.store in
+  run_ops engine (take 20 script);
+  ignore (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+  run_ops engine (List.filteri (fun i _ -> i >= 20 && i < 40) script);
+  ignore (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+  run_ops engine (List.filteri (fun i _ -> i >= 40) script);
+  Wal.close r.Wal.wal;
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let snaps =
+    List.filter (fun n -> Filename.check_suffix n ".snap") (listing ())
+  in
+  Alcotest.(check int) "two generations kept" 2 (List.length snaps);
+  (* Stamp both generations with a format-1 header. *)
+  let digit = String.length "optsample-snapshot " in
+  List.iter
+    (fun n ->
+      let path = Filename.concat dir n in
+      let s = get (Durable.read_file path) in
+      Alcotest.(check bool) "format-2 header" true
+        (String.sub s 0 (String.length Snapshot.magic) = Snapshot.magic);
+      let oc = open_out_bin path in
+      output_string oc (String.mapi (fun i c -> if i = digit then '1' else c) s);
+      close_out oc)
+    snaps;
+  let contents () =
+    List.map (fun n -> (n, get (Durable.read_file (Filename.concat dir n)))) (listing ())
+  in
+  let before = contents () in
+  let refused msg =
+    match Wal.recover ~store_cfg:cfg (wal_cfg dir) with
+    | Ok r ->
+        Wal.close r.Wal.wal;
+        Alcotest.failf "%s: recovered over format-1 checkpoints" msg
+    | Error m ->
+        Alcotest.(check bool) (msg ^ ": names the format") true
+          (contains "unsupported snapshot format" m);
+        Alcotest.(check bool) (msg ^ ": directory untouched") true
+          (contents () = before)
+  in
+  refused "first start";
+  refused "second start";
+  (* With the checkpoints removed by hand, the segments left start after
+     epoch 0: recovery refuses rather than replaying only the tail. *)
+  List.iter (fun n -> Sys.remove (Filename.concat dir n)) snaps;
+  match Wal.recover ~store_cfg:cfg (wal_cfg dir) with
+  | Ok r ->
+      Wal.close r.Wal.wal;
+      Alcotest.fail "recovered from segments that miss epoch 0"
+  | Error m ->
+      Alcotest.(check bool) "names the missing history" true
+        (contains "history before is missing" m)
+
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery property suite                                       *)
 (* ------------------------------------------------------------------ *)
@@ -909,6 +967,8 @@ let () =
             test_wal_torn_tail_tolerated;
           Alcotest.test_case "corrupt checkpoint falls back a generation"
             `Quick test_wal_corrupt_checkpoint_fallback;
+          Alcotest.test_case "foreign-format checkpoint refused, kept"
+            `Quick test_wal_foreign_checkpoint_refused;
         ] );
       ( "crash-recovery",
         [
