@@ -162,7 +162,19 @@ if [ -n "$list_hits" ]; then
     status=1
 fi
 
+# Allocation discipline: a `mutable <field> : int64` record field boxes
+# a fresh int64 on every write, so a generator step or a per-trial
+# update would allocate. Generator state under lib/numerics and
+# lib/sampling lives in unboxed Bytes words instead.
+int64_hits=$(grep -rnE "mutable[[:space:]]+[a-z_][a-zA-Z_0-9']*[[:space:]]*:[[:space:]]*int64" \
+    "$root/lib/numerics" "$root/lib/sampling" --include='*.ml' 2>/dev/null)
+if [ -n "$int64_hits" ]; then
+    echo "lint: mutable int64 record fields are banned under lib/numerics and lib/sampling (every write boxes):" >&2
+    echo "$int64_hits" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "lint: lib/numerics, lib/estcore, lib/server and lib/ timing are clean"
+    echo "lint: lib/numerics, lib/estcore, lib/sampling, lib/server and lib/ timing are clean"
 fi
 exit "$status"

@@ -100,24 +100,44 @@ end
 let l_uniform (c : Coeffs.t) (o : outcome) =
   let r = O.r o in
   if r <> Coeffs.r c then invalid_arg "Max_oblivious.l_uniform: r mismatch";
-  Array.iter
-    (fun p ->
-      if not (Numerics.Special.float_equal p (Coeffs.p c)) then
-        invalid_arg "Max_oblivious.l_uniform: non-uniform probabilities")
-    o.probs;
-  let z = O.sampled_values o in
-  if z = [] then 0.
+  let cp = c.Coeffs.p in
+  for i = 0 to r - 1 do
+    (* [p = cp] first: [float_equal] boxes both arguments on every call. *)
+    let p = o.probs.(i) in
+    if not (p = cp || Numerics.Special.float_equal p cp) then
+      invalid_arg "Max_oblivious.l_uniform: non-uniform probabilities"
+  done;
+  let s = ref 0 in
+  for i = 0 to r - 1 do
+    match o.values.(i) with Some _ -> incr s | None -> ()
+  done;
+  let s = !s in
+  if s = 0 then 0.
   else begin
-    (* Sorted determining vector: |S| sampled values in non-increasing
-       order in the last slots, the maximum replicated in front. *)
-    let z = List.sort (fun a b -> Float.compare b a) z in
-    let s = List.length z in
-    let u = Array.make r (List.hd z) in
-    List.iteri (fun i v -> u.(i + r - s) <- v) z;
-    let alpha = Coeffs.alpha c in
+    (* The |S| sampled values, sorted non-increasingly by insertion
+       under [Float.compare] (stable, the order of
+       [List.sort (fun a b -> Float.compare b a)]). *)
+    let z = Array.create_float s in
+    let k = ref 0 in
+    for i = 0 to r - 1 do
+      match o.values.(i) with
+      | Some v ->
+          let m = ref !k in
+          while !m > 0 && Float.compare z.(!m - 1) v < 0 do
+            z.(!m) <- z.(!m - 1);
+            decr m
+          done;
+          z.(!m) <- v;
+          incr k
+      | None -> ()
+    done;
+    (* Sorted determining vector: the maximum replicated in the first
+       r − |S| slots, the sorted sampled values in the last |S|. *)
+    let alpha = c.Coeffs.alpha in
     let acc = ref 0. in
     for i = 0 to r - 1 do
-      acc := !acc +. (alpha.(i) *. u.(i))
+      let u = if i < r - s then z.(0) else z.(i - (r - s)) in
+      acc := !acc +. (alpha.(i) *. u)
     done;
     !acc
   end

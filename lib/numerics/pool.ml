@@ -68,9 +68,12 @@ and drain t =
     drain t
   end
 
+(* [requested - 1] workers: the caller of [run_all] drains the queue
+   too, so it is the pool's last domain. *)
 let ensure_started_locked t =
   if Array.length t.workers = 0 then
-    t.workers <- Array.init t.requested (fun _ -> Domain.spawn (fun () -> worker_loop t))
+    t.workers <-
+      Array.init (t.requested - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t))
 
 let wrap t r body () =
   let err = (try body (); None with e -> Some e) in
@@ -144,7 +147,7 @@ let default () =
       at_exit (fun () -> shutdown p);
       p
 
-(* Contiguous chunks: at most 4 per worker so stragglers even out while
+(* Contiguous chunks: at most 4 per domain so stragglers even out while
    per-task overhead stays negligible, and — when the caller knows its
    bodies are tiny — at least [grain] indices per chunk so enqueue/wakeup
    cost amortizes over a grain of real work. Chunk layout depends on

@@ -1,7 +1,9 @@
 (** Work distribution across OCaml 5 domains.
 
-    A lazily-started pool of worker domains with a shared task queue,
-    built on stdlib [Domain]/[Mutex]/[Condition] only. All combinators
+    A lazily-started pool of domains with a shared task queue, built on
+    stdlib [Domain]/[Mutex]/[Condition] only. A pool of [n] domains
+    counts its caller: it spawns [n - 1] worker domains, and the domain
+    that calls a combinator works through the queue alongside them. All combinators
     guarantee {e scheduling-independent results}:
 
     - {!parallel_map} / {!parallel_init} compute independent elements, so
@@ -26,12 +28,14 @@ val default_jobs : unit -> int
     otherwise [Domain.recommended_domain_count ()]. *)
 
 val create : ?domains:int -> unit -> t
-(** [create ~domains ()] prepares a pool of [domains] workers (default
-    {!default_jobs}). No domain is spawned until the first parallel call.
-    Results never depend on [domains] — only wall-clock time does. *)
+(** [create ~domains ()] prepares a pool of [domains] domains in total,
+    the calling domain included (default {!default_jobs}): the first
+    parallel call spawns [domains - 1] workers, and a pool of one domain
+    never spawns. Results never depend on [domains] — only wall-clock
+    time does. *)
 
 val size : t -> int
-(** Worker count the pool was created with (≥ 1). *)
+(** Domain count the pool was created with (≥ 1), the caller included. *)
 
 val shutdown : t -> unit
 (** Stop and join all workers. Idempotent; the pool runs subsequent
@@ -39,7 +43,7 @@ val shutdown : t -> unit
     the {!default} pool. *)
 
 val default : unit -> t
-(** A process-wide shared pool of {!default_jobs} workers, created on
+(** A process-wide shared pool of {!default_jobs} domains, created on
     first use and shut down [at_exit]. *)
 
 (** {2 Granularity}
@@ -47,7 +51,7 @@ val default : unit -> t
     Every combinator splits its index range into contiguous chunks whose
     layout depends only on [(n, size, grain)] — never on scheduling — so
     results stay bit-identical whatever runs where. The default cost
-    model makes at most 4 chunks per worker (large enough grains for the
+    model makes at most 4 chunks per domain (large enough grains for the
     typical multi-microsecond body, small enough that stragglers even
     out). When bodies are {e tiny} (sub-microsecond sweep points), pass
     [?grain] — a lower bound on indices per chunk — so per-task

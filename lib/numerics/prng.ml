@@ -1,7 +1,17 @@
-module SplitMix64 = struct
-  type t = { mutable state : int64 }
+(* Generator state lives in unboxed [Bytes] words read and written with
+   the native-endian 64-bit primitives: a [mutable int64] record field
+   boxes a fresh value on every write, so a generator step would
+   allocate. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-  let create seed = { state = seed }
+module SplitMix64 = struct
+  type t = Bytes.t
+
+  let create seed =
+    let t = Bytes.create 8 in
+    set64 t 0 seed;
+    t
 
   let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -12,12 +22,22 @@ module SplitMix64 = struct
     logxor x (shift_right_logical x 31)
 
   let next t =
-    t.state <- Int64.add t.state golden_gamma;
-    mix t.state
+    let s = Int64.add (get64 t 0) golden_gamma in
+    set64 t 0 s;
+    mix s
 end
 
 module Xoshiro256 = struct
-  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+  (* s0..s3 at byte offsets 0, 8, 16, 24. *)
+  type t = Bytes.t
+
+  let of_words s0 s1 s2 s3 =
+    let t = Bytes.create 32 in
+    set64 t 0 s0;
+    set64 t 8 s1;
+    set64 t 16 s2;
+    set64 t 24 s3;
+    t
 
   let create seed =
     let sm = SplitMix64.create seed in
@@ -27,48 +47,41 @@ module Xoshiro256 = struct
     let s3 = SplitMix64.next sm in
     (* The all-zero state is the only invalid one; SplitMix64 outputs make it
        astronomically unlikely, but guard anyway. *)
-    if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-      { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-    else { s0; s1; s2; s3 }
+    if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_words 1L 2L 3L 4L
+    else of_words s0 s1 s2 s3
 
-  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+  let copy = Bytes.copy
 
-  let rotl x k =
+  let[@inline always] rotl x k =
     Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-  let next t =
+  let[@inline always] next t =
     let open Int64 in
-    let result = mul (rotl (mul t.s1 5L) 7) 9L in
-    let tt = shift_left t.s1 17 in
-    t.s2 <- logxor t.s2 t.s0;
-    t.s3 <- logxor t.s3 t.s1;
-    t.s1 <- logxor t.s1 t.s2;
-    t.s0 <- logxor t.s0 t.s3;
-    t.s2 <- logxor t.s2 tt;
-    t.s3 <- rotl t.s3 45;
+    let s0 = get64 t 0 and s1 = get64 t 8 in
+    let s2 = logxor (get64 t 16) s0 and s3 = logxor (get64 t 24) s1 in
+    let result = mul (rotl (mul s1 5L) 7) 9L in
+    set64 t 0 (logxor s0 s3);
+    set64 t 8 (logxor s1 s2);
+    set64 t 16 (logxor s2 (shift_left s1 17));
+    set64 t 24 (rotl s3 45);
     result
 
   let jump_table =
     [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
   let jump t =
-    let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
+    let acc = Bytes.make 32 '\000' in
     Array.iter
       (fun jump ->
         for b = 0 to 63 do
-          if Int64.logand jump (Int64.shift_left 1L b) <> 0L then begin
-            s0 := Int64.logxor !s0 t.s0;
-            s1 := Int64.logxor !s1 t.s1;
-            s2 := Int64.logxor !s2 t.s2;
-            s3 := Int64.logxor !s3 t.s3
-          end;
+          if Int64.logand jump (Int64.shift_left 1L b) <> 0L then
+            for w = 0 to 3 do
+              set64 acc (8 * w) (Int64.logxor (get64 acc (8 * w)) (get64 t (8 * w)))
+            done;
           ignore (next t)
         done)
       jump_table;
-    t.s0 <- !s0;
-    t.s1 <- !s1;
-    t.s2 <- !s2;
-    t.s3 <- !s3
+    Bytes.blit acc 0 t 0 32
 end
 
 type t = Xoshiro256.t
@@ -100,7 +113,7 @@ let bits64 = Xoshiro256.next
 let ulp53 = 1.110223024625156540e-16
 
 let float t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (Xoshiro256.next t) 11 in
   Int64.to_float bits *. ulp53
 
 let rec float_open t =
@@ -112,14 +125,14 @@ let int t n =
   (* Rejection sampling on the top bits to avoid modulo bias. *)
   let n64 = Int64.of_int n in
   let rec go () =
-    let bits = Int64.shift_right_logical (bits64 t) 1 in
+    let bits = Int64.shift_right_logical (Xoshiro256.next t) 1 in
     let v = Int64.rem bits n64 in
     if Int64.sub bits v > Int64.sub (Int64.sub Int64.max_int n64) 1L then go ()
     else Int64.to_int v
   in
   go ()
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (Xoshiro256.next t) 1L = 1L
 let exponential t lambda = -.log (float_open t) /. lambda
 
 let shuffle t a =

@@ -1,23 +1,26 @@
 module Acc = struct
+  (* All-float record, stored flat: a float write into a record that also
+     holds an [int] field boxes. The count is exact as a float below
+     2^53, so the moments are the ones an [int] count gives. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable mn : float;
     mutable mx : float;
   }
 
-  let create () = { n = 0; mean = 0.; m2 = 0.; mn = infinity; mx = neg_infinity }
+  let create () = { n = 0.; mean = 0.; m2 = 0.; mn = infinity; mx = neg_infinity }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.;
     let d = x -. t.mean in
-    t.mean <- t.mean +. (d /. float_of_int t.n);
+    t.mean <- t.mean +. (d /. t.n);
     t.m2 <- t.m2 +. (d *. (x -. t.mean));
     if x < t.mn then t.mn <- x;
     if x > t.mx then t.mx <- x
 
-  let count t = t.n
+  let count t = int_of_float t.n
 
   (* Degenerate accumulators (n = 0, and n = 1 for the sample variance)
      return 0 rather than NaN: an empty shard merged in from a pool run
@@ -25,27 +28,27 @@ module Acc = struct
      stderr bars, or JSON dumps with NaN. The convention is the empty
      sum / "no observed spread", and it is what the merged result of
      [merge empty empty] reports too. *)
-  let mean t = if t.n = 0 then 0. else t.mean
-  let var t = if t.n = 0 then 0. else t.m2 /. float_of_int t.n
-  let var_sample t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
+  let mean t = if t.n = 0. then 0. else t.mean
+  let var t = if t.n = 0. then 0. else t.m2 /. t.n
+  let var_sample t = if t.n < 2. then 0. else t.m2 /. (t.n -. 1.)
   let stddev t = sqrt (var t)
 
   let stderr t =
-    if t.n < 2 then 0.
-    else sqrt (var_sample t /. float_of_int t.n)
+    if t.n < 2. then 0.
+    else sqrt (var_sample t /. t.n)
 
   let min t = t.mn
   let max t = t.mx
 
   let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
+    if a.n = 0. then { b with n = b.n }
+    else if b.n = 0. then { a with n = a.n }
     else begin
-      let n = a.n + b.n in
-      let fa = float_of_int a.n and fb = float_of_int b.n in
+      let n = a.n +. b.n in
+      let fa = a.n and fb = b.n in
       let d = b.mean -. a.mean in
-      let mean = a.mean +. (d *. fb /. float_of_int n) in
-      let m2 = a.m2 +. b.m2 +. (d *. d *. fa *. fb /. float_of_int n) in
+      let mean = a.mean +. (d *. fb /. n) in
+      let m2 = a.m2 +. b.m2 +. (d *. d *. fa *. fb /. n) in
       {
         n;
         mean;

@@ -16,9 +16,16 @@ module Oblivious = struct
     then invalid_arg "Oblivious.of_mask: length mismatch";
     { probs; values = Array.mapi (fun i m -> if m then Some v.(i) else None) mask }
 
+  (* One uniform per entry in index order, as [of_mask] over a drawn
+     mask would consume them, without the intermediate mask. *)
   let draw rng ~probs v =
-    let mask = Array.map (fun p -> Numerics.Prng.float rng < p) probs in
-    of_mask ~probs v mask
+    let r = Array.length probs in
+    if Array.length v <> r then invalid_arg "Oblivious.draw: length mismatch";
+    let values = Array.make r None in
+    for i = 0 to r - 1 do
+      if Numerics.Prng.float rng < probs.(i) then values.(i) <- Some v.(i)
+    done;
+    { probs; values }
 
   let prob_of_mask ~probs mask =
     let acc = ref 1. in

@@ -420,18 +420,21 @@ let handle_request t req =
              machine-readable way. *)
           (P.error ~kind:"bad_request" m, Continue))
   | P.Snapshot path -> (
-      Store.flush st;
-      match Snapshot.write st ~path with
+      let lines = Snapshot.store_lines st in
+      match Snapshot.write_lines lines ~path with
       | Error m -> (P.error m, Continue)
-      | Ok n -> (
-          let base = [ ("path", P.jstr path); ("instances", P.jint n) ] in
+      | Ok () -> (
+          let base =
+            [ ("path", P.jstr path);
+              ("instances", P.jint (List.length (Store.instances st))) ]
+          in
           (* With a WAL attached, a manual SNAPSHOT doubles as a
              checkpoint: the log rolls over and replay-on-restart
              shortens to the delta since this point. *)
           match t.t_wal with
           | None -> (P.ok_fields base, Continue)
           | Some wal -> (
-              match Wal.checkpoint wal st with
+              match Wal.checkpoint ~lines wal st with
               | Ok epoch ->
                   (P.ok_fields (base @ [ ("epoch", P.jint epoch) ]), Continue)
               | Error m -> (P.error ~kind:"wal" m, Continue))))
@@ -450,16 +453,15 @@ let handle_request t req =
               lines,
             Continue ))
   | P.Sync -> (
-      Store.flush st;
       (* Checkpoint-then-ship: with a WAL attached the shipped snapshot
-         is exactly the new checkpoint's content (same Snapshot lines of
-         the same flushed store), so a follower holding the payload holds
-         the checkpoint. *)
+         is the new checkpoint's content (the same lines), so a follower
+         holding the payload holds the checkpoint. *)
+      let lines = Snapshot.store_lines st in
       let extra =
         match t.t_wal with
         | None -> Ok []
         | Some wal -> (
-            match Wal.checkpoint wal st with
+            match Wal.checkpoint ~lines wal st with
             | Ok epoch -> Ok [ ("epoch", P.jint epoch) ]
             | Error m -> Error m)
       in
@@ -472,7 +474,7 @@ let handle_request t req =
                :: ("master", P.jint cfg.Store.master)
                :: ("mode", P.jstr (Snapshot.mode_name cfg.Store.mode))
                :: extra)
-              (Snapshot.store_lines st),
+              lines,
             Continue ))
   | P.Stats -> (run_stats st, Continue)
   | P.Flush -> (

@@ -137,11 +137,13 @@ let of_string_r ?pool ?shards s =
    fsync + rename — a crash mid-write never damages the previous file)
    and the I/O fault plane applies, so the crash-recovery suite can tear
    snapshot writes too. *)
+let write_lines ls ~path =
+  Durable.write_file_atomic ~site:"snapshot.write" ~path (text ls)
+
 let write_summaries cfg summaries ~path =
   Result.map
     (fun () -> List.length summaries)
-    (Durable.write_file_atomic ~site:"snapshot.write" ~path
-       (text (lines cfg summaries)))
+    (write_lines (lines cfg summaries) ~path)
 
 let write st ~path = write_summaries (Store.config st) (summaries st) ~path
 

@@ -69,13 +69,16 @@ val of_string_r :
     weights and seeds are an error at the offending line — then
     {!Merge.materialize} of the sections into a fresh store. *)
 
+val write_lines : string list -> path:string -> (unit, string) result
+(** Write snapshot lines (from {!lines} or {!store_lines}) to a file
+    {e atomically} (via {!Durable.write_file_atomic}: tmp + fsync +
+    rename, so a crash mid-write never damages a previous snapshot at
+    the same path). File system errors come back as [Error]. *)
+
 val write_summaries :
   Store.config -> Store.summary list -> path:string -> (int, string) result
-(** Write {!lines} to a file {e atomically} (via
-    {!Durable.write_file_atomic}: tmp + fsync + rename, so a crash
-    mid-write never damages a previous snapshot at the same path);
-    returns the number of instances persisted. File system errors come
-    back as [Error]. *)
+(** {!write_lines} of {!lines}; returns the number of instances
+    persisted. *)
 
 val write : Store.t -> path:string -> (int, string) result
 (** {!write_summaries} of the whole store (flushes it first). *)

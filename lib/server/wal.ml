@@ -9,7 +9,7 @@
 
    On-disk layout, all under [config.dir]:
 
-     checkpoint-<epoch>.snap    Server.Snapshot.write, atomic
+     checkpoint-<epoch>.snap    Server.Snapshot.write_lines, atomic
      wal-<epoch>-<seq>.log      frames appended after checkpoint <epoch>
 
    [checkpoint] bumps the epoch; the previous checkpoint and its
@@ -232,11 +232,14 @@ let prune_below dir keep_epoch =
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     (list_dir dir)
 
-let checkpoint t store =
+let checkpoint ?lines t store =
   Numerics.Obs.span ~cat:"server" "server.wal.checkpoint" @@ fun () ->
   let new_epoch = t.epoch + 1 in
-  let* (_ : int) =
-    Snapshot.write store ~path:(checkpoint_path t.cfg.dir new_epoch)
+  let lines =
+    match lines with Some ls -> ls | None -> Snapshot.store_lines store
+  in
+  let* () =
+    Snapshot.write_lines lines ~path:(checkpoint_path t.cfg.dir new_epoch)
   in
   (* The checkpoint is durable; everything before it is redundant. Seal
      the old epoch's segment and open the new epoch's first one. *)
@@ -348,9 +351,9 @@ let recover ?pool ?(store_cfg = Store.default_config) cfg =
              Option.map (fun (e, s) -> (e, s, Filename.concat cfg.dir n)) (scan_segment n))
       |> List.sort compare
     in
-    (* Newest checkpoint first; a damaged one is quarantined and the
-       previous generation (whose segments were kept for exactly this)
-       takes over. With no generation left, scratch recovery is still
+    (* Newest checkpoint first; one that reads but does not parse is
+       quarantined and the previous generation (whose segments were kept
+       for exactly this) takes over. With no generation left, scratch recovery is still
        exact when the segment history reaches back to epoch 0. *)
     let rec pick_checkpoint skipped = function
       | [] -> (
@@ -366,8 +369,13 @@ let recover ?pool ?(store_cfg = Store.default_config) cfg =
       | (ep, path) :: rest -> (
           match Durable.read_file path with
           | Error m ->
-              let dst = quarantine path in
-              pick_checkpoint (Printf.sprintf "%s (%s)" dst m :: skipped) rest
+              (* An I/O error says nothing about the bytes: quarantining
+                 would retire a good checkpoint for a transient fault. *)
+              Error
+                (Printf.sprintf
+                   "%s: cannot read checkpoint (%s); recovery stopped and \
+                    left %s as it is"
+                   path m cfg.dir)
           | Ok s -> (
               match Snapshot.of_string_r ?pool ~shards:store_cfg.shards s with
               | Ok store -> Ok (store, Some ep, List.rev skipped)

@@ -71,10 +71,14 @@ val append : t -> op -> (unit, string) result
     segment when full. [Error] means the op is {e not} durable and must
     not be applied or acknowledged (write-ahead discipline). *)
 
-val checkpoint : t -> Store.t -> (int, string) result
+val checkpoint : ?lines:string list -> t -> Store.t -> (int, string) result
 (** Write a snapshot of the store as the next epoch's checkpoint
     (atomically: tmp + fsync + rename), start a fresh segment, and prune
-    files older than one fallback generation. Returns the new epoch. *)
+    files older than one fallback generation. Returns the new epoch.
+    [lines], when given, must be {!Snapshot.store_lines} of the store
+    taken since its last change: a caller that also writes or ships the
+    snapshot passes the lines it already built, so the store is exported
+    once. *)
 
 val close : t -> unit
 (** Final fsync (unless [Never]) and close the current segment. *)
@@ -101,14 +105,16 @@ val recover :
   config ->
   (recovery, string) result
 (** Rebuild the store from the newest usable checkpoint plus its delta.
-    A damaged newest checkpoint is quarantined and the previous
-    generation takes over (its segments were kept for exactly this); a
-    malformed suffix of the {e final} segment is treated as a torn tail,
-    dropped, and physically truncated — malformed bytes anywhere else
-    are an error, never silently skipped. A checkpoint in another
-    snapshot format ({!Snapshot.foreign_format}) is not damage: recovery
-    stops with an error and leaves the directory as it is. So does a
-    directory with no usable checkpoint whose segments do not reach back
-    to epoch 0 (the history before them is gone). [store_cfg] (default
-    {!Store.default_config}) supplies the configuration when no
-    checkpoint exists, and the shard count always. *)
+    A damaged newest checkpoint (one that reads but does not parse) is
+    quarantined and the previous generation takes over (its segments
+    were kept for exactly this); a malformed suffix of the {e final}
+    segment is treated as a torn tail, dropped, and physically truncated
+    — malformed bytes anywhere else are an error, never silently
+    skipped. A checkpoint in another snapshot format
+    ({!Snapshot.foreign_format}) is not damage: recovery stops with an
+    error and leaves the directory as it is. So does a checkpoint that
+    cannot be read at all (an I/O error), and a directory with no usable
+    checkpoint whose segments do not reach back to epoch 0 (the history
+    before them is gone). [store_cfg] (default {!Store.default_config})
+    supplies the configuration when no checkpoint exists, and the shard
+    count always. *)

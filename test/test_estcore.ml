@@ -1310,6 +1310,25 @@ let test_flat_zero_alloc () =
   Allocheck.assert_no_alloc "Or_oblivious.Table.add_into" (fun () ->
       Or_oblivious.Table.add_into ot ~code acc)
 
+(* One Monte-Carlo trial of the oblivious r=8 pipeline, over the outcome
+   distribution it draws (p = 0.2): the outcome draw and the Theorem 4.2
+   estimate allocate only their results, a boxed float and a few
+   words per sampled entry. *)
+let test_mc_trial_alloc_budget () =
+  let probs = Array.make 8 0.2 in
+  let v = Array.init 8 (fun i -> 1. +. float_of_int i) in
+  let rng = Numerics.Prng.create ~seed:2011 () in
+  Allocheck.assert_alloc_at_most ~words:40. "Outcome.Oblivious.draw r=8"
+    (fun () -> ignore (Sys.opaque_identity (OO.draw rng ~probs v)));
+  let c = Max_oblivious.Coeffs.compute ~r:8 ~p:0.2 in
+  let outcomes = Array.init 1024 (fun _ -> OO.draw rng ~probs v) in
+  let i = ref 0 in
+  Allocheck.assert_alloc_at_most ~words:8. "Max_oblivious.l_uniform r=8"
+    (fun () ->
+      ignore
+        (Sys.opaque_identity (Max_oblivious.l_uniform c outcomes.(!i land 1023)));
+      incr i)
+
 let () =
   Alcotest.run "estcore"
     [
@@ -1469,6 +1488,8 @@ let () =
             test_or_table_bit_identity;
           Alcotest.test_case "zero allocation per call" `Quick
             test_flat_zero_alloc;
+          Alcotest.test_case "monte-carlo trial allocation budget" `Quick
+            test_mc_trial_alloc_budget;
         ] );
       ( "exact",
         [

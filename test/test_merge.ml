@@ -529,7 +529,9 @@ let test_e2e_failover_checkpoint () =
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths
 
 (* SYNC under a WAL rolls the log over: the response carries a fresh
-   epoch each time, and the shipped text is a loadable snapshot. *)
+   epoch each time, and the shipped text is a loadable snapshot, byte for
+   byte the new checkpoint. SNAPSHOT under a WAL writes the same bytes to
+   its path and to its checkpoint. *)
 let test_sync_checkpoints_wal () =
   let dir = Filename.temp_file "merge-wal" "" in
   Sys.remove dir;
@@ -563,10 +565,38 @@ let test_sync_checkpoints_wal () =
         (epoch, String.concat "\n" lines ^ "\n")
     | Error m -> Alcotest.failf "SYNC: %s" m
   in
+  let checkpoint e =
+    match
+      Server.Durable.read_file
+        (Filename.concat dir (Printf.sprintf "checkpoint-%06d.snap" e))
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.failf "checkpoint %d: %s" e m
+  in
   let e1, shipped = sync () in
+  Alcotest.(check string) "SYNC payload = its checkpoint" (checkpoint e1)
+    shipped;
   ignore (ok_exn c "INGEST a 9 2.5");
-  let e2, _ = sync () in
+  let e2, shipped2 = sync () in
   Alcotest.(check bool) "each SYNC rolls a fresh epoch" true (e2 > e1);
+  Alcotest.(check string) "second SYNC payload = its checkpoint"
+    (checkpoint e2) shipped2;
+  ignore (ok_exn c "INGEST a 11 0.5");
+  let snap = Filename.concat dir "manual.snap" in
+  let e3 =
+    match
+      Option.bind
+        (P.json_field "epoch" (ok_exn c ("SNAPSHOT " ^ snap)))
+        int_of_string_opt
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "SNAPSHOT under a WAL must report an epoch"
+  in
+  Alcotest.(check bool) "SNAPSHOT rolls a fresh epoch" true (e3 > e2);
+  (match Server.Durable.read_file snap with
+  | Ok s ->
+      Alcotest.(check string) "SNAPSHOT file = its checkpoint" (checkpoint e3) s
+  | Error m -> Alcotest.failf "SNAPSHOT file: %s" m);
   (match Snapshot.of_string_r shipped with
   | Ok st ->
       Alcotest.(check int) "shipped checkpoint holds the instance" 1

@@ -114,6 +114,94 @@ let test_splitmix_mix_distinct () =
   done;
   Alcotest.(check int) "mix is injective on small range" 1001 (Hashtbl.length seen)
 
+(* Stream pins: the exact outputs of every generator entry point. Every
+   Monte-Carlo moment, Fig. 4 row and generated workload input is a
+   function of these streams, so a change to the generator's state
+   layout must leave them bit-identical. *)
+let check_int64s msg expected actual =
+  Alcotest.(check (list int64)) msg expected actual
+
+let test_xoshiro_stream_pinned () =
+  let x = Prng.Xoshiro256.create 42L in
+  check_int64s "create 42"
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L ]
+    (List.init 8 (fun _ -> Prng.Xoshiro256.next x));
+  let x = Prng.Xoshiro256.create 42L in
+  Prng.Xoshiro256.jump x;
+  check_int64s "create 42, jump"
+    [ 0x50086ef83cbf4f4aL; 0xba285ec21347d703L; 0x5ea1247b4dc6452aL;
+      0x03a5c66424702131L; 0x77369f9f12449a8bL; 0x1eab92f3c9460792L;
+      0xf5484aa43e93f003L; 0x42e0a9ae4359c6feL ]
+    (List.init 8 (fun _ -> Prng.Xoshiro256.next x));
+  let sm = Prng.SplitMix64.create 7L in
+  check_int64s "splitmix 7"
+    [ 0x63cbe1e459320dd7L; 0x044c3cd7f43c661cL; 0xe6984080bab12a02L;
+      0x953aeb70673e29cbL ]
+    (List.init 4 (fun _ -> Prng.SplitMix64.next sm))
+
+let test_prng_samplers_pinned () =
+  let r = Prng.create ~seed:2011 () in
+  check_int64s "float, seed 2011"
+    [ 0x3fc7092e09cf2d7cL; 0x3fd45a9ac18bda3cL; 0x3fd0bc10df5c583cL;
+      0x3fe7d6eadac92333L; 0x3fd311848f6dbc54L; 0x3fec5f90238821aeL;
+      0x3fd3cbe0b477b27cL; 0x3fe67d3248322010L ]
+    (List.init 8 (fun _ -> Int64.bits_of_float (Prng.float r)));
+  let r = Prng.create ~seed:2011 () in
+  Alcotest.(check (list int))
+    "int 1000, seed 2011"
+    [ 289; 759; 43; 484; 693; 826; 769; 507 ]
+    (List.init 8 (fun _ -> Prng.int r 1000));
+  let r = Prng.create ~seed:2011 () in
+  Alcotest.(check (list bool))
+    "bool, seed 2011"
+    [ true; false; false; true; false; true; true; true;
+      false; false; true; false; true; false; true; true ]
+    (List.init 16 (fun _ -> Prng.bool r));
+  check_int64s "substream 0x5EED i, first output"
+    [ 0x9b56667ea8e92797L; 0x713dd417f568eba7L; 0xbe5e96e5e94a7074L;
+      0x0fe4aa2313099535L; 0xf8df3fc4b6576250L ]
+    (List.map
+       (fun i -> Prng.bits64 (Prng.substream ~master:0x5EED i))
+       [ 0; 1; 2; 63; 1000 ])
+
+(* [bool] returns an immediate, so a generator step must allocate
+   nothing: the state is updated in place. *)
+let test_prng_step_no_alloc () =
+  let r = Prng.create ~seed:2011 () in
+  Allocheck.assert_no_alloc "Prng.bool" (fun () ->
+      ignore (Sys.opaque_identity (Prng.bool r)))
+
+(* Oblivious r=8 Monte-Carlo of the Theorem 4.2 estimator: pins the
+   outcome draw, the estimator and the accumulator together. *)
+let test_monte_carlo_moments_pinned () =
+  let probs = Array.make 8 0.2 in
+  let v = [| 3.; 1.5; 7.25; 2.; 9.; 4.5; 0.75; 6. |] in
+  let c = Estcore.Max_oblivious.Coeffs.compute ~r:8 ~p:0.2 in
+  let draw rng = Sampling.Outcome.Oblivious.draw rng ~probs v in
+  let est = Estcore.Max_oblivious.l_uniform c in
+  let bits (m : Estcore.Exact.moments) =
+    [ Int64.bits_of_float m.mean; Int64.bits_of_float m.var ]
+  in
+  let sharded pool =
+    Estcore.Exact.monte_carlo ?pool ~master:2011 ~shards:16
+      ~rng:(Prng.create ()) ~n:5000 ~draw est
+  in
+  check_int64s "sharded, sequential"
+    [ 0x40248d96d4172188L; 0x40c451987063bed3L ]
+    (bits (sharded None));
+  let p = Pool.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () ->
+      check_int64s "sharded, 2 domains"
+        [ 0x40248d96d4172188L; 0x40c451987063bed3L ]
+        (bits (sharded (Some p))));
+  check_int64s "single stream"
+    [ 0x40208efb46f5da36L; 0x406ae1cc79809ca4L ]
+    (bits
+       (Estcore.Exact.monte_carlo ~rng:(Prng.create ~seed:9 ()) ~n:3000 ~draw
+          est))
+
 (* ------------------------------------------------------------------ *)
 (* Hashing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -819,6 +907,28 @@ let test_pool_shutdown_inline () =
     "inline after shutdown" (Array.init 9 Fun.id)
     (Pool.parallel_init p ~n:9 Fun.id)
 
+(* A pool of n domains counts its caller: its tasks run on at most n
+   distinct domains. Each task spins long enough that every spawned
+   worker picks some up. *)
+let test_pool_domain_count () =
+  List.iter
+    (fun d ->
+      with_pool d (fun p ->
+          let ids =
+            Pool.parallel_init p ~n:64 (fun i ->
+                let x = ref (float_of_int i) in
+                for _ = 1 to 200_000 do
+                  x := Float.rem ((!x *. 1.000001) +. 1.) 1e9
+                done;
+                ignore (Sys.opaque_identity !x);
+                (Domain.self () :> int))
+          in
+          let distinct = List.sort_uniq Int.compare (Array.to_list ids) in
+          if List.length distinct > d then
+            Alcotest.failf "%d-domain pool ran tasks on %d domains" d
+              (List.length distinct)))
+    pool_sizes
+
 (* ------------------------------------------------------------------ *)
 (* Memo + chunk granularity                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1139,6 +1249,14 @@ let () =
           Alcotest.test_case "int rejects 0" `Quick test_prng_int_invalid;
           Alcotest.test_case "xoshiro jump" `Quick test_xoshiro_jump_changes_state;
           Alcotest.test_case "splitmix injective" `Quick test_splitmix_mix_distinct;
+          Alcotest.test_case "xoshiro/splitmix streams pinned" `Quick
+            test_xoshiro_stream_pinned;
+          Alcotest.test_case "float/int/bool/substream pinned" `Quick
+            test_prng_samplers_pinned;
+          Alcotest.test_case "monte_carlo moments pinned" `Quick
+            test_monte_carlo_moments_pinned;
+          Alcotest.test_case "generator step allocates nothing" `Quick
+            test_prng_step_no_alloc;
           prop_float_range;
         ] );
       ( "hashing",
@@ -1186,6 +1304,8 @@ let () =
             test_pool_exception;
           Alcotest.test_case "shutdown runs inline" `Quick
             test_pool_shutdown_inline;
+          Alcotest.test_case "n domains, caller included" `Quick
+            test_pool_domain_count;
           Alcotest.test_case "substream order-independent" `Quick
             test_prng_substream_independent_of_order;
           Alcotest.test_case "grain keeps results bit-identical" `Quick

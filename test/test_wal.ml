@@ -466,6 +466,46 @@ let test_wal_foreign_checkpoint_refused () =
       Alcotest.(check bool) "names the missing history" true
         (contains "history before is missing" m)
 
+(* A checkpoint that cannot be read (here a directory where the newest
+   checkpoint file should be) is not known to be damaged: recovery stops
+   with an error naming it and leaves the directory as it is, on every
+   try, instead of quarantining it and falling back a generation. *)
+let test_wal_unreadable_checkpoint_kept () =
+  with_dir "wal" @@ fun dir ->
+  let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  let engine = Engine.create ~wal:r.Wal.wal r.Wal.store in
+  run_ops engine (take 20 script);
+  ignore (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+  run_ops engine (List.filteri (fun i _ -> i >= 20 && i < 40) script);
+  ignore (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+  run_ops engine (List.filteri (fun i _ -> i >= 40) script);
+  Wal.close r.Wal.wal;
+  let victim = Filename.concat dir "checkpoint-000002.snap" in
+  Sys.remove victim;
+  Sys.mkdir victim 0o755;
+  let contents () =
+    List.map
+      (fun n ->
+        let path = Filename.concat dir n in
+        if Sys.is_directory path then (n, "<directory>")
+        else (n, get (Durable.read_file path)))
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  let before = contents () in
+  let refused msg =
+    match Wal.recover ~store_cfg:cfg (wal_cfg dir) with
+    | Ok r ->
+        Wal.close r.Wal.wal;
+        Alcotest.failf "%s: recovered past an unreadable checkpoint" msg
+    | Error m ->
+        Alcotest.(check bool) (msg ^ ": names the file") true
+          (contains victim m);
+        Alcotest.(check bool) (msg ^ ": directory untouched") true
+          (contents () = before)
+  in
+  refused "first start";
+  refused "second start"
+
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery property suite                                       *)
 (* ------------------------------------------------------------------ *)
@@ -969,6 +1009,8 @@ let () =
             `Quick test_wal_corrupt_checkpoint_fallback;
           Alcotest.test_case "foreign-format checkpoint refused, kept"
             `Quick test_wal_foreign_checkpoint_refused;
+          Alcotest.test_case "unreadable checkpoint refused, kept" `Quick
+            test_wal_unreadable_checkpoint_kept;
         ] );
       ( "crash-recovery",
         [
