@@ -3,8 +3,8 @@
     A lazily-started pool of domains with a shared task queue, built on
     stdlib [Domain]/[Mutex]/[Condition] only. A pool of [n] domains
     counts its caller: it spawns [n - 1] worker domains, and the domain
-    that calls a combinator works through the queue alongside them. All combinators
-    guarantee {e scheduling-independent results}:
+    that calls a combinator works through the queue alongside them.
+    All combinators guarantee {e scheduling-independent results}:
 
     - {!parallel_map} / {!parallel_init} compute independent elements, so
       the output array is identical to the sequential one by construction;

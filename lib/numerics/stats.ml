@@ -45,10 +45,9 @@ module Acc = struct
     else if b.n = 0. then { a with n = a.n }
     else begin
       let n = a.n +. b.n in
-      let fa = a.n and fb = b.n in
       let d = b.mean -. a.mean in
-      let mean = a.mean +. (d *. fb /. n) in
-      let m2 = a.m2 +. b.m2 +. (d *. d *. fa *. fb /. n) in
+      let mean = a.mean +. (d *. b.n /. n) in
+      let m2 = a.m2 +. b.m2 +. (d *. d *. a.n *. b.n /. n) in
       {
         n;
         mean;

@@ -16,8 +16,8 @@ module Oblivious = struct
     then invalid_arg "Oblivious.of_mask: length mismatch";
     { probs; values = Array.mapi (fun i m -> if m then Some v.(i) else None) mask }
 
-  (* One uniform per entry in index order, as [of_mask] over a drawn
-     mask would consume them, without the intermediate mask. *)
+  (* One uniform per entry, in index order: the stream every caller's
+     results are pinned to. *)
   let draw rng ~probs v =
     let r = Array.length probs in
     if Array.length v <> r then invalid_arg "Oblivious.draw: length mismatch";
